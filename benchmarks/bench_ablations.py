@@ -13,11 +13,17 @@
 from __future__ import annotations
 
 from repro.graph.unionfind import UnionFind
-from repro.pace.clustering import detect_components_serial, _overlap_passes
-from repro.pace.redundancy import find_redundant_serial
+from repro.pace.clustering import _overlap_passes
 from repro.suffix.matches import MaximalMatchFinder
 
-from workloads import print_banner, scaling_cache, scaling_subset, write_bench
+from workloads import (
+    print_banner,
+    scaling_cache,
+    scaling_subset,
+    serial_clustering,
+    serial_redundancy,
+    write_bench,
+)
 
 
 def test_ablation_psi(benchmark):
@@ -27,7 +33,7 @@ def test_ablation_psi(benchmark):
     def sweep():
         rows = []
         for psi in (8, 10, 14, 20):
-            rr = find_redundant_serial(sequences, psi=psi, cache=cache)
+            rr = serial_redundancy(sequences, cache, psi=psi)
             rows.append((psi, rr.n_promising_pairs, len(rr.redundant)))
         return rows
 
@@ -129,9 +135,7 @@ def test_ablation_ccd_reference_consistency(benchmark):
 
     def run():
         groups, _ = _clusters_with_order(sequences, cache, "decreasing", use_filter=True)
-        ccd = detect_components_serial(
-            sequences, list(range(len(sequences))), psi=10, cache=cache
-        )
+        ccd = serial_clustering(sequences, list(range(len(sequences))), cache)
         return groups, ccd
 
     groups, ccd = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -10,17 +10,21 @@ We reproduce the same three-way accounting on the 40K analogue.
 
 from __future__ import annotations
 
-from repro.pace.clustering import detect_components_serial
-from repro.pace.redundancy import find_redundant_serial
-
-from workloads import print_banner, scaling_cache, scaling_subset, write_bench
+from workloads import (
+    print_banner,
+    scaling_cache,
+    scaling_subset,
+    serial_clustering,
+    serial_redundancy,
+    write_bench,
+)
 
 
 def accounting():
     sequences = scaling_subset("40k")
     cache = scaling_cache()
-    rr = find_redundant_serial(sequences, psi=10, cache=cache)
-    ccd = detect_components_serial(sequences, rr.kept, psi=10, cache=cache)
+    rr = serial_redundancy(sequences, cache)
+    ccd = serial_clustering(sequences, rr.kept, cache)
     n = len(rr.kept)
     all_pairs = n * (n - 1) // 2
     return {

@@ -22,9 +22,22 @@ from typing import Mapping
 import numpy as np
 
 from repro.align.matrices import blosum62_scheme
+from repro.align.predicates import (
+    CONTAINMENT_COVERAGE,
+    CONTAINMENT_SIMILARITY,
+    OVERLAP_COVERAGE,
+    OVERLAP_SIMILARITY,
+)
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import PipelineResult, ProteinFamilyPipeline
 from repro.pace.cache import AlignmentCache
+from repro.pace.clustering import ClusteringResult
+from repro.pace.redundancy import RedundancyResult
+from repro.runtime import SerialBackend
+from repro.runtime.phases import (
+    backend_component_detection,
+    backend_redundancy_removal,
+)
 from repro.sequence.generator import MetagenomeSpec, SyntheticMetagenome, generate_metagenome
 from repro.sequence.record import SequenceSet
 from repro.shingle.algorithm import ShingleParams
@@ -132,6 +145,43 @@ def scaling_cache() -> AlignmentCache:
     full = scaling_sequences()
     encoded = [r.encoded for r in full]
     return AlignmentCache(lambda k: encoded[k], blosum62_scheme())
+
+
+def serial_redundancy(
+    sequences: SequenceSet, cache: AlignmentCache, *, psi: int = 10
+) -> RedundancyResult:
+    """The pipeline's RR phase on a serial backend."""
+    backend = SerialBackend()
+    with backend.session(sequences, blosum62_scheme()):
+        return backend_redundancy_removal(
+            sequences,
+            backend,
+            cache,
+            psi=psi,
+            similarity=CONTAINMENT_SIMILARITY,
+            coverage=CONTAINMENT_COVERAGE,
+        )
+
+
+def serial_clustering(
+    sequences: SequenceSet,
+    kept: list[int],
+    cache: AlignmentCache,
+    *,
+    psi: int = 10,
+) -> ClusteringResult:
+    """The pipeline's CCD phase on a serial backend."""
+    backend = SerialBackend()
+    with backend.session(sequences, blosum62_scheme()):
+        return backend_component_detection(
+            sequences,
+            kept,
+            backend,
+            cache,
+            psi=psi,
+            similarity=OVERLAP_SIMILARITY,
+            coverage=OVERLAP_COVERAGE,
+        )
 
 
 @lru_cache(maxsize=None)

@@ -2,13 +2,17 @@
 
 ``ProteinFamilyPipeline`` orchestrates redundancy removal, connected
 component detection, bipartite graph generation, and dense subgraph
-detection.  It can run fully serially (the reference), with the RR
-and CCD phases on one simulated cluster (the paper used BlueGene/L) and
-the DSD phase on another (the Linux cluster), returning simulated phase
-timings alongside the scientific results — or on a real execution
-backend (:mod:`repro.runtime`) that distributes alignment and Shingle
-work across host cores and reports *measured* wall-clock timings.  The
-scientific results are identical in every mode.
+detection.  Each phase is defined once, in :mod:`repro.runtime.phases`,
+and runs on an execution backend (:mod:`repro.runtime`): the in-process
+:class:`~repro.runtime.SerialBackend` by default, or worker processes
+that spread the alignment and Shingle work over the host's cores.  Both
+report *measured* wall-clock timings.
+
+Beside that one host path stands the simulator: given a simulated
+cluster (the paper used BlueGene/L for RR and CCD and a Linux cluster
+for DSD), a phase runs its :mod:`repro.pace` ``parallel_*`` driver
+instead and reports simulated timings.  The scientific results are
+identical in every mode.
 """
 
 from __future__ import annotations
@@ -28,28 +32,15 @@ from repro.obs import (
 )
 from repro.pace.bipartite_gen import (
     ComponentGraphs,
-    generate_component_graphs,
     parallel_generate_component_graphs,
 )
 from repro.pace.cache import AlignmentCache
-from repro.pace.clustering import (
-    ClusteringResult,
-    detect_components_serial,
-    parallel_component_detection,
-)
+from repro.pace.clustering import ClusteringResult, parallel_component_detection
 from repro.pace.costs import CostModel
-from repro.pace.densesub import (
-    DsdResult,
-    detect_dense_subgraphs_serial,
-    parallel_dense_subgraph_detection,
-)
-from repro.pace.redundancy import (
-    RedundancyResult,
-    find_redundant_serial,
-    parallel_redundancy_removal,
-)
+from repro.pace.densesub import DsdResult, parallel_dense_subgraph_detection
+from repro.pace.redundancy import RedundancyResult, parallel_redundancy_removal
 from repro.parallel.simulator import VirtualCluster
-from repro.runtime import Backend, RuntimeStats, make_backend
+from repro.runtime import Backend, RuntimeStats, SerialBackend, make_backend
 from repro.runtime.phases import (
     backend_component_detection,
     backend_dense_subgraph_detection,
@@ -61,7 +52,7 @@ from repro.sequence.record import SequenceSet
 
 @dataclass
 class PhaseTimings:
-    """Simulated seconds per phase (zero when run serially)."""
+    """Simulated seconds per phase (zero for a phase run on a backend)."""
 
     redundancy: float = 0.0
     clustering: float = 0.0
@@ -127,7 +118,7 @@ class ProteinFamilyPipeline:
     """End-to-end pipeline runner.
 
     >>> pipeline = ProteinFamilyPipeline(PipelineConfig())
-    >>> result = pipeline.run(sequences)                 # serial
+    >>> result = pipeline.run(sequences)                 # SerialBackend
     >>> result = pipeline.run(sequences, cluster=c512)   # simulated parallel
     >>> result = pipeline.run(sequences, backend="process", workers=4)
     """
@@ -198,20 +189,25 @@ class ProteinFamilyPipeline:
     ) -> PipelineResult:
         """Run all four phases.
 
-        ``cluster`` (if given) simulates the RR and CCD phases on that
-        machine; ``dsd_cluster`` does the same for the dense-subgraph
-        phase.  Passing neither runs the serial reference.  ``cache``
-        may be shared across runs on the same sequence set to avoid
-        recomputing identical alignments (host-side only; simulated
-        costs are unaffected).
+        With no simulated cluster the phases run on an execution
+        backend: ``backend`` ("serial", "process", or a
+        :class:`~repro.runtime.Backend` instance; default:
+        ``config.backend``, itself :class:`~repro.runtime.SerialBackend`
+        unless configured otherwise).  Measured wall-clock stats land in
+        ``result.runtime``.
 
-        ``backend`` selects a real execution backend ("serial",
-        "process", or a :class:`~repro.runtime.Backend` instance;
-        default: ``config.backend``) that distributes the work across
-        host cores and records measured wall-clock stats in
-        ``result.runtime``.  Backends and simulated clusters are
-        mutually exclusive, and every mode returns identical
-        ``families``/Table I output.
+        ``cluster`` (if given) simulates the RR, CCD and global-reduction
+        bipartite phases on that machine; ``dsd_cluster`` does the same
+        for the dense-subgraph phase.  A phase left without a cluster
+        runs the same backend phase functions on a ``SerialBackend``.
+        Simulated runs report virtual timings in ``result.timings`` and
+        no ``result.runtime``; a simulated cluster and an explicit
+        ``backend`` are mutually exclusive.  Every mode returns
+        identical ``families``/Table I output.
+
+        ``cache`` may be shared across runs on the same sequence set to
+        avoid recomputing identical alignments (host-side only;
+        simulated costs are unaffected).
 
         Every run records spans and counters into a
         :class:`repro.obs.Recorder` (pass ``recorder`` to supply your
@@ -227,74 +223,60 @@ class ProteinFamilyPipeline:
         ``<run_dir>/checkpoint.jsonl`` (crash-consistent, CRC-framed;
         see :mod:`repro.core.checkpoint`); ``resume=True`` reopens that
         journal, skips phases it records as done, and replays CCD from
-        the last checkpointed union.  Both require an execution
-        backend (the default serial reference included via
-        ``backend="serial"``) — checkpointing the simulator's virtual
-        timeline is not supported.
+        the last checkpointed union.  Checkpointing the simulator's
+        virtual timeline is not supported.
         """
         config = self.config
-        resolved = backend
-        if resolved is None and config.backend != "serial":
-            resolved = config.backend
-        if resolved is None and (run_dir is not None or resume):
-            if cluster is not None or dsd_cluster is not None:
-                raise ValueError(
-                    "checkpointing (run_dir/resume) requires an execution "
-                    "backend, not a simulated cluster"
-                )
-            resolved = config.backend
-        if workers is None and config.workers:
-            workers = config.workers
-        if cache is None:  # explicit None test: an empty cache is falsy
-            cache = self._make_cache(sequences)
-        real_backend = make_backend(
-            resolved,
-            workers,
-            fault_plan=config.fault_plan,
-            task_deadline=config.task_deadline,
-            respawn_budget=config.respawn_budget,
-        )
-        if real_backend is not None:
-            if cluster is not None or dsd_cluster is not None:
+        simulated = cluster is not None or dsd_cluster is not None
+        if simulated:
+            if backend is not None:
                 raise ValueError(
                     "a simulated cluster and an execution backend are "
                     "mutually exclusive; pass one or the other"
                 )
-            journal = self._open_journal(sequences, run_dir, resume)
-            if recorder is None:
-                recorder = Recorder(meta=self._run_meta(
-                    sequences,
-                    mode=real_backend.name,
-                    workers=real_backend.workers,
-                ))
-            try:
-                with self._observing(recorder, observe, telemetry_dir,
-                                     telemetry_interval, cache, real_backend):
-                    result = self._run_on_backend(
-                        sequences, real_backend, cache, recorder,
-                        journal=journal,
-                    )
-            finally:
-                if journal is not None:
-                    journal.close()
-            result.obs = recorder if observe else None
-            return result
-        simulated = cluster is not None or dsd_cluster is not None
+            if run_dir is not None or resume:
+                raise ValueError(
+                    "checkpointing (run_dir/resume) requires an execution "
+                    "backend, not a simulated cluster"
+                )
+            host: Backend | None = SerialBackend()
+        else:
+            if workers is None and config.workers:
+                workers = config.workers
+            host = make_backend(
+                config.backend if backend is None else backend,
+                workers,
+                fault_plan=config.fault_plan,
+                task_deadline=config.task_deadline,
+                respawn_budget=config.respawn_budget,
+            )
+        assert host is not None  # a name or an instance always resolves
+        if cache is None:  # explicit None test: an empty cache is falsy
+            cache = self._make_cache(sequences)
+        journal = self._open_journal(sequences, run_dir, resume)
         if recorder is None:
-            ranks = max(
-                cluster.n_ranks if cluster is not None else 1,
-                dsd_cluster.n_ranks if dsd_cluster is not None else 1,
-            )
-            recorder = Recorder(meta=self._run_meta(
-                sequences,
-                mode="simulated" if simulated else "serial",
-                workers=ranks if simulated else 1,
-            ))
-        with self._observing(recorder, observe, telemetry_dir,
-                             telemetry_interval, cache):
-            result = self._run_serial_or_simulated(
-                sequences, cluster, dsd_cluster, cache, cost_model, recorder
-            )
+            if simulated:
+                ranks = max(c.n_ranks for c in (cluster, dsd_cluster)
+                            if c is not None)
+                meta = self._run_meta(sequences, mode="simulated",
+                                      workers=ranks)
+            else:
+                meta = self._run_meta(sequences, mode=host.name,
+                                      workers=host.workers)
+            recorder = Recorder(meta=meta)
+        try:
+            with self._observing(recorder, observe, telemetry_dir,
+                                 telemetry_interval, cache,
+                                 None if simulated else host):
+                result = self._run_phases(
+                    sequences, host, cache, recorder,
+                    cluster, dsd_cluster, cost_model, journal,
+                )
+        finally:
+            if journal is not None:
+                journal.close()
+        if not simulated:
+            result.runtime = host.stats
         result.obs = recorder if observe else None
         return result
 
@@ -330,169 +312,22 @@ class ProteinFamilyPipeline:
             with sampler:
                 yield
 
-    def _run_serial_or_simulated(
+    def _run_phases(
         self,
         sequences: SequenceSet,
+        host: Backend,
+        cache: AlignmentCache,
+        recorder: Recorder,
         cluster: VirtualCluster | None,
         dsd_cluster: VirtualCluster | None,
-        cache: AlignmentCache | None,
         cost_model: CostModel | None,
-        recorder: Recorder,
+        journal,
     ) -> PipelineResult:
-        config = self.config
-        if cache is None:  # explicit None test: an empty cache is falsy
-            cache = self._make_cache(sequences)
-        timings = PhaseTimings()
-        # Simulated phases are stacked end-to-end on the virtual-time
-        # track, mirroring the paper's sequential phase execution.
-        sim_offset = 0.0
+        """Run the four phases in order, each on its simulated cluster
+        when one is given and on ``host`` otherwise.
 
-        # Phase 1: redundancy removal.
-        cache.set_phase("redundancy")
-        with recorder.span("redundancy", cat="phase"):
-            if cluster is not None:
-                rr = parallel_redundancy_removal(
-                    sequences,
-                    cluster,
-                    psi=config.psi,
-                    similarity=config.containment_similarity,
-                    coverage=config.containment_coverage,
-                    scheme=config.scheme,
-                    cache=cache,
-                    cost_model=cost_model,
-                    max_pairs_per_node=config.max_pairs_per_node,
-                )
-                timings.redundancy = rr.sim.elapsed
-            else:
-                rr = find_redundant_serial(
-                    sequences,
-                    psi=config.psi,
-                    similarity=config.containment_similarity,
-                    coverage=config.containment_coverage,
-                    scheme=config.scheme,
-                    cache=cache,
-                    max_pairs_per_node=config.max_pairs_per_node,
-                )
-        if rr.sim is not None:
-            sim_offset = record_simulation(
-                recorder, rr.sim, "redundancy", offset=sim_offset
-            )
-
-        # Phase 2: connected component detection.
-        cache.set_phase("clustering")
-        with recorder.span("clustering", cat="phase"):
-            if cluster is not None:
-                ccd = parallel_component_detection(
-                    sequences,
-                    rr.kept,
-                    cluster,
-                    psi=config.psi,
-                    similarity=config.overlap_similarity,
-                    coverage=config.overlap_coverage,
-                    scheme=config.scheme,
-                    cache=cache,
-                    cost_model=cost_model,
-                    max_pairs_per_node=config.max_pairs_per_node,
-                )
-                timings.clustering = ccd.sim.elapsed
-            else:
-                ccd = detect_components_serial(
-                    sequences,
-                    rr.kept,
-                    psi=config.psi,
-                    similarity=config.overlap_similarity,
-                    coverage=config.overlap_coverage,
-                    scheme=config.scheme,
-                    cache=cache,
-                    max_pairs_per_node=config.max_pairs_per_node,
-                )
-        if ccd.sim is not None:
-            sim_offset = record_simulation(
-                recorder, ccd.sim, "clustering", offset=sim_offset
-            )
-
-        # Phase 3: bipartite graph generation (per component).
-        qualifying = ccd.components_of_size(config.min_component_size)
-        cache.set_phase("bipartite")
-        with recorder.span("bipartite", cat="phase"):
-            if cluster is not None and config.reduction == "global":
-                graphs = parallel_generate_component_graphs(
-                    sequences,
-                    qualifying,
-                    cluster,
-                    psi=config.psi,
-                    edge_similarity=config.edge_similarity,
-                    edge_coverage=config.edge_coverage,
-                    min_size=config.min_component_size,
-                    scheme=config.scheme,
-                    cache=cache,
-                    cost_model=cost_model,
-                    max_pairs_per_node=config.max_pairs_per_node,
-                )
-                timings.bipartite = graphs.sim.elapsed
-            else:
-                graphs = generate_component_graphs(
-                    sequences,
-                    qualifying,
-                    reduction=config.reduction,
-                    psi=config.psi,
-                    edge_similarity=config.edge_similarity,
-                    edge_coverage=config.edge_coverage,
-                    w=config.w,
-                    min_size=config.min_component_size,
-                    scheme=config.scheme,
-                    cache=cache,
-                    max_pairs_per_node=config.max_pairs_per_node,
-                )
-        if graphs.sim is not None:
-            sim_offset = record_simulation(
-                recorder, graphs.sim, "bipartite", offset=sim_offset
-            )
-
-        # Phase 4: dense subgraph detection.
-        with recorder.span("dense_subgraphs", cat="phase"):
-            if dsd_cluster is not None:
-                dense = parallel_dense_subgraph_detection(
-                    graphs,
-                    dsd_cluster,
-                    params=config.shingle,
-                    min_size=config.min_subgraph_size,
-                    tau=config.tau,
-                    cost_model=cost_model,
-                )
-                timings.dense_subgraphs = dense.sim.elapsed
-            else:
-                dense = detect_dense_subgraphs_serial(
-                    graphs,
-                    params=config.shingle,
-                    min_size=config.min_subgraph_size,
-                    tau=config.tau,
-                )
-        if dense.sim is not None:
-            sim_offset = record_simulation(
-                recorder, dense.sim, "dense_subgraphs", offset=sim_offset
-            )
-
-        cache.record_observations(recorder)
-        return PipelineResult(
-            config=config,
-            n_input=len(sequences),
-            redundancy=rr,
-            clustering=ccd,
-            graphs=graphs,
-            dense=dense,
-            timings=timings,
-        )
-
-    def _run_on_backend(
-        self,
-        sequences: SequenceSet,
-        backend: Backend,
-        cache: AlignmentCache | None,
-        recorder: Recorder,
-        journal=None,
-    ) -> PipelineResult:
-        """Run all four phases on a real execution backend.
+        Simulated phases are stacked end-to-end on the virtual-time
+        track, mirroring the paper's sequential phase execution.
 
         With a checkpoint ``journal``: each phase is bracketed by
         ``phase_start``/``phase_done`` records, and on resume a phase
@@ -505,101 +340,162 @@ class ProteinFamilyPipeline:
         from repro.core import checkpoint as ckpt
 
         config = self.config
-        if cache is None:  # explicit None test: an empty cache is falsy
-            cache = self._make_cache(sequences)
         state = journal.resume_state if journal is not None else None
+        timings = PhaseTimings()
+        sim_offset = 0.0
 
-        def skip(phase: str) -> bool:
+        def restored(phase: str, rebuild):
+            """The phase's result rebuilt from the journal, or None."""
             if state is None or not state.has(phase):
-                return False
+                return None
             recorder.count("checkpoint.phases_skipped")
-            return True
+            return rebuild(state.payload(phase))
 
-        with backend.session(sequences, config.scheme):
-            if skip("redundancy"):
-                rr = ckpt.redundancy_from_payload(
-                    state.payload("redundancy"), len(sequences)
-                )
-            else:
-                if journal is not None:
-                    journal.phase_start("redundancy")
-                cache.set_phase("redundancy")
-                rr = backend_redundancy_removal(
-                    sequences,
-                    backend,
-                    cache,
-                    psi=config.psi,
-                    similarity=config.containment_similarity,
-                    coverage=config.containment_coverage,
-                    max_pairs_per_node=config.max_pairs_per_node,
-                )
-                if journal is not None:
-                    journal.phase_done("redundancy",
-                                       ckpt.redundancy_payload(rr))
-            if skip("clustering"):
-                ccd = ckpt.clustering_from_payload(state.payload("clustering"))
-            else:
-                if journal is not None:
-                    journal.phase_start("clustering")
-                cache.set_phase("clustering")
-                ccd = backend_component_detection(
-                    sequences,
-                    rr.kept,
-                    backend,
-                    cache,
-                    psi=config.psi,
-                    similarity=config.overlap_similarity,
-                    coverage=config.overlap_coverage,
-                    max_pairs_per_node=config.max_pairs_per_node,
-                    journal=journal,
-                    replay_unions=state.ccd_unions if state is not None else None,
-                )
-                if journal is not None:
-                    journal.phase_done("clustering",
-                                       ckpt.clustering_payload(ccd))
-            if skip("bipartite"):
-                graphs = ckpt.bipartite_from_payload(state.payload("bipartite"))
-            else:
-                if journal is not None:
-                    journal.phase_start("bipartite")
-                cache.set_phase("bipartite")
-                graphs = backend_generate_component_graphs(
-                    sequences,
-                    ccd.components_of_size(config.min_component_size),
-                    backend,
-                    cache,
-                    reduction=config.reduction,
-                    psi=config.psi,
-                    edge_similarity=config.edge_similarity,
-                    edge_coverage=config.edge_coverage,
-                    w=config.w,
-                    min_size=config.min_component_size,
-                    max_pairs_per_node=config.max_pairs_per_node,
-                )
-                if journal is not None:
-                    # None for the domain reduction: alignment-free,
-                    # cheaper to recompute on resume than to serialise.
-                    payload = ckpt.bipartite_payload(graphs)
-                    if payload is not None:
-                        journal.phase_done("bipartite", payload)
-            if skip("dense_subgraphs"):
-                dense = ckpt.dense_from_payload(
-                    state.payload("dense_subgraphs")
-                )
-            else:
-                if journal is not None:
-                    journal.phase_start("dense_subgraphs")
-                dense = backend_dense_subgraph_detection(
-                    graphs,
-                    backend,
-                    params=config.shingle,
-                    min_size=config.min_subgraph_size,
-                    tau=config.tau,
-                )
-                if journal is not None:
-                    journal.phase_done("dense_subgraphs",
-                                       ckpt.dense_payload(dense))
-        backend.stats.cache = cache.stats()
+        def begin(phase: str) -> None:
+            if journal is not None:
+                journal.phase_start(phase)
+            cache.set_phase(phase)
+
+        def done(phase: str, payload) -> None:
+            # A None payload (the domain reduction's alignment-free
+            # graphs) is cheaper to recompute on resume than to store.
+            if journal is not None and payload is not None:
+                journal.phase_done(phase, payload)
+
+        def simulate(phase: str, drive):
+            """Run a simulated driver inside its phase span and stack
+            its virtual timeline after the previous phase's."""
+            nonlocal sim_offset
+            with recorder.span(phase, cat="phase"):
+                result = drive()
+            setattr(timings, phase, result.sim.elapsed)
+            sim_offset = record_simulation(
+                recorder, result.sim, phase, offset=sim_offset
+            )
+            return result
+
+        with host.session(sequences, config.scheme):
+            rr = restored("redundancy", lambda payload:
+                          ckpt.redundancy_from_payload(payload,
+                                                       len(sequences)))
+            if rr is None:
+                begin("redundancy")
+                if cluster is not None:
+                    rr = simulate("redundancy", lambda: (
+                        parallel_redundancy_removal(
+                            sequences,
+                            cluster,
+                            psi=config.psi,
+                            similarity=config.containment_similarity,
+                            coverage=config.containment_coverage,
+                            scheme=config.scheme,
+                            cache=cache,
+                            cost_model=cost_model,
+                            max_pairs_per_node=config.max_pairs_per_node,
+                        )))
+                else:
+                    rr = backend_redundancy_removal(
+                        sequences,
+                        host,
+                        cache,
+                        psi=config.psi,
+                        similarity=config.containment_similarity,
+                        coverage=config.containment_coverage,
+                        max_pairs_per_node=config.max_pairs_per_node,
+                    )
+                done("redundancy", ckpt.redundancy_payload(rr))
+
+            ccd = restored("clustering", ckpt.clustering_from_payload)
+            if ccd is None:
+                begin("clustering")
+                if cluster is not None:
+                    ccd = simulate("clustering", lambda: (
+                        parallel_component_detection(
+                            sequences,
+                            rr.kept,
+                            cluster,
+                            psi=config.psi,
+                            similarity=config.overlap_similarity,
+                            coverage=config.overlap_coverage,
+                            scheme=config.scheme,
+                            cache=cache,
+                            cost_model=cost_model,
+                            max_pairs_per_node=config.max_pairs_per_node,
+                        )))
+                else:
+                    ccd = backend_component_detection(
+                        sequences,
+                        rr.kept,
+                        host,
+                        cache,
+                        psi=config.psi,
+                        similarity=config.overlap_similarity,
+                        coverage=config.overlap_coverage,
+                        max_pairs_per_node=config.max_pairs_per_node,
+                        journal=journal,
+                        replay_unions=(state.ccd_unions
+                                       if state is not None else None),
+                    )
+                done("clustering", ckpt.clustering_payload(ccd))
+
+            graphs = restored("bipartite", ckpt.bipartite_from_payload)
+            if graphs is None:
+                begin("bipartite")
+                qualifying = ccd.components_of_size(config.min_component_size)
+                if cluster is not None and config.reduction == "global":
+                    graphs = simulate("bipartite", lambda: (
+                        parallel_generate_component_graphs(
+                            sequences,
+                            qualifying,
+                            cluster,
+                            psi=config.psi,
+                            edge_similarity=config.edge_similarity,
+                            edge_coverage=config.edge_coverage,
+                            min_size=config.min_component_size,
+                            scheme=config.scheme,
+                            cache=cache,
+                            cost_model=cost_model,
+                            max_pairs_per_node=config.max_pairs_per_node,
+                        )))
+                else:
+                    graphs = backend_generate_component_graphs(
+                        sequences,
+                        qualifying,
+                        host,
+                        cache,
+                        reduction=config.reduction,
+                        psi=config.psi,
+                        edge_similarity=config.edge_similarity,
+                        edge_coverage=config.edge_coverage,
+                        w=config.w,
+                        min_size=config.min_component_size,
+                        max_pairs_per_node=config.max_pairs_per_node,
+                    )
+                done("bipartite", ckpt.bipartite_payload(graphs))
+
+            dense = restored("dense_subgraphs", ckpt.dense_from_payload)
+            if dense is None:
+                begin("dense_subgraphs")
+                if dsd_cluster is not None:
+                    dense = simulate("dense_subgraphs", lambda: (
+                        parallel_dense_subgraph_detection(
+                            graphs,
+                            dsd_cluster,
+                            params=config.shingle,
+                            min_size=config.min_subgraph_size,
+                            tau=config.tau,
+                            cost_model=cost_model,
+                        )))
+                else:
+                    dense = backend_dense_subgraph_detection(
+                        graphs,
+                        host,
+                        params=config.shingle,
+                        min_size=config.min_subgraph_size,
+                        tau=config.tau,
+                    )
+                done("dense_subgraphs", ckpt.dense_payload(dense))
+        host.stats.cache = cache.stats()
         cache.record_observations(recorder)
         return PipelineResult(
             config=config,
@@ -608,6 +504,5 @@ class ProteinFamilyPipeline:
             clustering=ccd,
             graphs=graphs,
             dense=dense,
-            timings=PhaseTimings(),
-            runtime=backend.stats,
+            timings=timings,
         )

@@ -12,15 +12,13 @@ Result invariance: the final clustering equals the connected components
 of the graph {promising pairs that pass the overlap test}.  A filtered
 pair is by construction already intra-component, so *which* pairs get
 filtered (a function of message timing) never changes the output — the
-serial reference and every processor count produce identical clusters.
+serial backend and every processor count produce identical clusters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator, Sequence
-
-import numpy as np
 
 from repro import obs
 from repro.align.matrices import ScoringScheme, blosum62_scheme
@@ -87,70 +85,6 @@ def _components_from_uf(kept: Sequence[int], uf: UnionFind) -> list[list[int]]:
     return out
 
 
-def detect_components_serial(
-    sequences: SequenceSet,
-    kept: Sequence[int],
-    *,
-    psi: int = 10,
-    similarity: float = OVERLAP_SIMILARITY,
-    coverage: float = OVERLAP_COVERAGE,
-    scheme: ScoringScheme | None = None,
-    cache: AlignmentCache | None = None,
-    max_pairs_per_node: int | None = None,
-) -> ClusteringResult:
-    """Reference serial implementation of the CCD phase.
-
-    ``kept`` is the non-redundant index list from the RR phase; indices
-    in the result are global (into ``sequences``).
-    """
-    if scheme is None:
-        scheme = blosum62_scheme()
-    encoded_all = [record.encoded for record in sequences]
-    if cache is None:  # explicit None test: an empty cache is falsy
-        cache = AlignmentCache(lambda k: encoded_all[k], scheme)
-    local_encoded = [encoded_all[g] for g in kept]
-    finder = MaximalMatchFinder(
-        local_encoded, min_length=psi, max_pairs_per_node=max_pairs_per_node
-    )
-    uf = UnionFind(len(kept))
-    tested: set[tuple[int, int]] = set()
-    n_pairs = 0
-    n_filtered = 0
-    n_aligned = 0
-    for match in finder.matches():
-        n_pairs += 1
-        obs.count("ccd.pairs")
-        pair = match.pair
-        if pair in tested or uf.same(pair[0], pair[1]):
-            n_filtered += 1
-            obs.count("ccd.filtered")
-            continue
-        tested.add(pair)
-        gi, gj = kept[pair[0]], kept[pair[1]]
-        aln = cache.local(gi, gj)
-        n_aligned += 1
-        obs.count("ccd.alignments")
-        if _overlap_passes(
-            aln,
-            len(encoded_all[gi]),
-            len(encoded_all[gj]),
-            similarity,
-            coverage,
-        ):
-            uf.union(pair[0], pair[1])
-            obs.gauge("ccd.components_now", len(kept) - uf.merge_count)
-    components = _components_from_uf(kept, uf)
-    _observe_clustering(uf, components)
-    return ClusteringResult(
-        components=components,
-        n_promising_pairs=n_pairs,
-        n_filtered=n_filtered,
-        n_alignments=n_aligned,
-        n_merges=uf.merge_count,
-        sim=None,
-    )
-
-
 def parallel_component_detection(
     sequences: SequenceSet,
     kept: Sequence[int],
@@ -171,7 +105,8 @@ def parallel_component_detection(
     master union-find filters and dynamically redistributes surviving
     alignments.  The aggressive filter starves workers at high p — the
     paper's Table II scaling collapse — while leaving the scientific
-    output identical to :func:`detect_components_serial`.
+    output identical to
+    :func:`repro.runtime.phases.backend_component_detection`.
     """
     if scheme is None:
         scheme = blosum62_scheme()

@@ -68,28 +68,6 @@ def shingle_component(
     return finals, result.subgraphs, result
 
 
-def detect_dense_subgraphs_serial(
-    component_graphs: ComponentGraphs,
-    *,
-    params: ShingleParams | None = None,
-    min_size: int = 5,
-    tau: float = 0.5,
-) -> DsdResult:
-    """Reference serial DSD over all component graphs."""
-    if params is None:
-        params = ShingleParams()
-    out = DsdResult(subgraphs=[])
-    for graph in component_graphs.graphs:
-        finals, raw, stats = shingle_component(
-            graph, component_graphs.reduction, params, min_size, tau
-        )
-        out.subgraphs.extend(finals)
-        out.raw.extend(raw)
-        out.shingle_stats.append(stats)
-    out.subgraphs.sort(key=lambda sg: (-len(sg), sg))
-    return out
-
-
 def parallel_dense_subgraph_detection(
     component_graphs: ComponentGraphs,
     cluster: VirtualCluster,

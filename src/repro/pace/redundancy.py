@@ -16,9 +16,7 @@ dynamically balances the alignment work.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import Iterator
 
 from repro import obs
 from repro.align.matrices import ScoringScheme, blosum62_scheme
@@ -101,126 +99,6 @@ def _build_result(
     )
 
 
-def find_redundant_serial(
-    sequences: SequenceSet,
-    *,
-    psi: int = 10,
-    similarity: float = CONTAINMENT_SIMILARITY,
-    coverage: float = CONTAINMENT_COVERAGE,
-    scheme: ScoringScheme | None = None,
-    cache: AlignmentCache | None = None,
-    max_pairs_per_node: int | None = None,
-) -> RedundancyResult:
-    """Reference serial implementation of the RR phase."""
-    if scheme is None:
-        scheme = blosum62_scheme()
-    encoded = [record.encoded for record in sequences]
-    if cache is None:  # explicit None test: an empty cache is falsy
-        cache = AlignmentCache(lambda k: encoded[k], scheme)
-    finder = MaximalMatchFinder(
-        encoded, min_length=psi, max_pairs_per_node=max_pairs_per_node
-    )
-    redundant: set[int] = set()
-    containments: list[tuple[int, int]] = []
-    n_pairs = 0
-    n_aligned = 0
-    for match in finder.unique_pairs():
-        n_pairs += 1
-        obs.count("rr.pairs")
-        i, j = match.seq_a, match.seq_b
-        aln = cache.semiglobal(i, j)
-        n_aligned += 1
-        obs.count("rr.alignments")
-        _decide(
-            redundant,
-            containments,
-            i,
-            j,
-            aln.identity,
-            aln.coverage_a(len(encoded[i])),
-            aln.coverage_b(len(encoded[j])),
-            len(encoded[i]),
-            len(encoded[j]),
-            similarity,
-            coverage,
-        )
-    return _build_result(len(sequences), redundant, containments, n_pairs, n_aligned, None)
-
-
-def find_redundant_batched(
-    sequences: SequenceSet,
-    *,
-    psi: int = 10,
-    similarity: float = CONTAINMENT_SIMILARITY,
-    coverage: float = CONTAINMENT_COVERAGE,
-    scheme: ScoringScheme | None = None,
-    max_pairs_per_node: int | None = None,
-    chunk: int = 512,
-) -> RedundancyResult:
-    """RR via the batched containment engine — the >=95 % fast path.
-
-    Decision-identical to :func:`find_redundant_serial` on the same
-    input: chunks of promising pairs run through
-    :func:`repro.align.batch.batch_containment`, whose bit-parallel
-    Myers prefilter rejects pairs *provably* unable to pass Definition 1
-    in either direction and routes only the remainder through the
-    (exact) batched DP.  This is the engine the runtime backends deploy
-    via :meth:`repro.runtime.base.Backend.containment_stream`; exposed
-    here as a standalone driver for tests and benchmarks.  Scientific
-    counters (``rr.pairs``/``rr.alignments``/``rr.redundant``) are
-    bumped identically to the reference — the *verdict* for every pair
-    is still evaluated, only the compute route differs.
-    """
-    from repro.align.batch import batch_containment
-
-    if scheme is None:
-        scheme = blosum62_scheme()
-    encoded = [record.encoded for record in sequences]
-    finder = MaximalMatchFinder(
-        encoded, min_length=psi, max_pairs_per_node=max_pairs_per_node
-    )
-    redundant: set[int] = set()
-    containments: list[tuple[int, int]] = []
-    n_pairs = 0
-
-    def flush(pairs: list[tuple[int, int]]) -> None:
-        result = batch_containment(
-            [(encoded[i], encoded[j]) for i, j in pairs],
-            scheme=scheme,
-            similarity=similarity,
-            coverage=coverage,
-        )
-        for (i, j), (identity, cov_i, cov_j) in zip(pairs, result.stats):
-            _decide(
-                redundant,
-                containments,
-                i,
-                j,
-                identity,
-                cov_i,
-                cov_j,
-                len(encoded[i]),
-                len(encoded[j]),
-                similarity,
-                coverage,
-            )
-
-    buffer: list[tuple[int, int]] = []
-    for match in finder.unique_pairs():
-        n_pairs += 1
-        obs.count("rr.pairs")
-        obs.count("rr.alignments")
-        buffer.append((match.seq_a, match.seq_b))
-        if len(buffer) >= chunk:
-            flush(buffer)
-            buffer = []
-    if buffer:
-        flush(buffer)
-    return _build_result(
-        len(sequences), redundant, containments, n_pairs, n_pairs, None
-    )
-
-
 def parallel_redundancy_removal(
     sequences: SequenceSet,
     cluster: VirtualCluster,
@@ -234,7 +112,8 @@ def parallel_redundancy_removal(
     max_pairs_per_node: int | None = None,
     record_timeline: bool = False,
 ) -> RedundancyResult:
-    """Simulated-parallel RR phase; scientifically identical to serial.
+    """Simulated-parallel RR phase; scientifically identical to the
+    host path (:func:`repro.runtime.phases.backend_redundancy_removal`).
 
     Workers own first-symbol suffix buckets (LPT-balanced by bucket
     size), generate promising pairs locally and align the deduplicated

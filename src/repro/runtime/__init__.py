@@ -1,9 +1,13 @@
-"""Execution backends — real multi-core execution beside the simulator.
+"""Execution backends — the pipeline's one host path, beside the simulator.
 
-``repro.parallel`` *models* the paper's clusters (virtual time on a
-machine model); ``repro.runtime`` *executes* on the host's cores.  Both
-wrap the identical scientific kernels, and both guarantee output equal
-to the serial reference.  See DESIGN.md, "Simulator versus runtime".
+``repro.runtime`` *executes* on the host's cores: every pipeline run
+without a simulated cluster runs the phase functions of
+:mod:`repro.runtime.phases` on a backend — :class:`SerialBackend`
+(in-process, the default) or :class:`ProcessBackend` (worker
+processes).  ``repro.parallel`` *models* the paper's clusters (virtual
+time on a machine model) by running the :mod:`repro.pace` ``parallel_*``
+drivers instead.  Both wrap the identical scientific kernels and give
+identical results.  See DESIGN.md, "Simulator versus runtime".
 
 Usage::
 

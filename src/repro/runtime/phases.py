@@ -1,10 +1,12 @@
-"""Backend-driven pipeline phases: real execution, identical results.
+"""The pipeline's four phases, defined once for execution on the host.
 
-Each function mirrors one serial phase of :mod:`repro.pace` but routes
-the alignment/Shingle work through a :class:`~repro.runtime.base.Backend`
-stream, keeping all decision state on the master.  Output equality with
-the serial reference rests on the same invariants the simulator relies
-on (see module docstrings in :mod:`repro.pace.redundancy`,
+Each function runs one phase of the paper, routing the alignment/Shingle
+work through a :class:`~repro.runtime.base.Backend` stream and keeping
+all decision state on the master.  The pipeline runs them on a
+:class:`~repro.runtime.serial.SerialBackend` unless told otherwise.
+Output equality across backends, and with the simulated ``parallel_*``
+drivers of :mod:`repro.pace`, rests on the invariants the simulator
+relies on too (see module docstrings in :mod:`repro.pace.redundancy`,
 :mod:`repro.pace.clustering`, :mod:`repro.pace.bipartite_gen`):
 
 * RR aligns a deterministic pair set and Definition 1 verdicts are
@@ -73,9 +75,6 @@ def backend_redundancy_removal(
     Definition 1 verdict was evaluated, regardless of compute route.
     """
     encoded = [record.encoded for record in sequences]
-    finder = MaximalMatchFinder(
-        encoded, min_length=psi, max_pairs_per_node=max_pairs_per_node
-    )
     redundant: set[int] = set()
     containments: list[tuple[int, int]] = []
     n_pairs = 0
@@ -97,6 +96,9 @@ def backend_redundancy_removal(
         )
 
     with backend.phase("redundancy"):
+        finder = MaximalMatchFinder(
+            encoded, min_length=psi, max_pairs_per_node=max_pairs_per_node
+        )
         stream = backend.containment_stream(
             cache, similarity=similarity, coverage=coverage
         )
@@ -139,9 +141,9 @@ def backend_component_detection(
     The master filters each promising pair against the union–find
     *before* dispatch and unions passing alignments as results stream
     back.  Under a concurrent backend the filter lags by the batch in
-    flight, so slightly more pairs get aligned than in the serial
-    reference — the components are provably identical (see module
-    docstring), only the work counters move, as in the paper.
+    flight, so slightly more pairs get aligned than on the serial
+    backend — the components are provably identical (see
+    module docstring), only the work counters move, as in the paper.
 
     Checkpointing: when a :class:`~repro.core.checkpoint.CheckpointJournal`
     is passed, every union that actually merges two clusters is
@@ -155,9 +157,6 @@ def backend_component_detection(
     """
     encoded_all = [record.encoded for record in sequences]
     local_encoded = [encoded_all[g] for g in kept]
-    finder = MaximalMatchFinder(
-        local_encoded, min_length=psi, max_pairs_per_node=max_pairs_per_node
-    )
     local_of = {g: l for l, g in enumerate(kept)}
     uf = UnionFind(len(kept))
     if replay_unions:
@@ -183,6 +182,11 @@ def backend_component_detection(
             obs.gauge("ccd.components_now", len(kept) - uf.merge_count)
 
     with backend.phase("clustering"):
+        finder = MaximalMatchFinder(
+            local_encoded,
+            min_length=psi,
+            max_pairs_per_node=max_pairs_per_node,
+        )
         stream = backend.alignment_stream("local", cache)
         for match in finder.matches():
             n_pairs += 1

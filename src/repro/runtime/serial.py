@@ -1,10 +1,10 @@
-"""The reference in-process backend.
+"""The reference in-process backend, and the pipeline's default.
 
 Executes every work item synchronously on the master — the measured
 baseline every other backend is compared (and result-checked) against.
 ``submit`` computes immediately through the shared
-:class:`~repro.pace.cache.AlignmentCache`, so the serial backend is the
-classic serial pipeline plus wall-clock accounting.
+:class:`~repro.pace.cache.AlignmentCache`, so the CCD union–find filter
+never lags and the work counters are the serial ones.
 """
 
 from __future__ import annotations

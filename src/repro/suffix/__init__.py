@@ -28,7 +28,6 @@ from repro.suffix.suffix_array import (
 from repro.suffix.intervals import LcpInterval, lcp_interval_tree
 from repro.suffix.matches import MaximalMatch, MaximalMatchFinder
 from repro.suffix.gst import GeneralizedSuffixTree
-from repro.suffix.ukkonen import SuffixTree
 from repro.suffix.wmer import WmerIndex
 
 __all__ = [
@@ -40,6 +39,5 @@ __all__ = [
     "MaximalMatch",
     "MaximalMatchFinder",
     "GeneralizedSuffixTree",
-    "SuffixTree",
     "WmerIndex",
 ]

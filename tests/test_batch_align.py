@@ -540,14 +540,22 @@ class TestCellsAccounting:
 
 class TestPromisingPairDifferentialFuzz:
     """Replay random promising-pair workloads through both kernels and
-    diff the resulting family partitions (RR redundancy structure)."""
+    diff the resulting family partitions (RR redundancy structure): the
+    pipeline's RR phase on the serial backend (batched containment
+    engine) against the simulated driver, which aligns every pair with
+    the scalar kernel."""
 
     @pytest.mark.parametrize("seed", [101, 202, 303])
     def test_rr_partitions_identical(self, seed):
-        from repro.pace.redundancy import (
-            find_redundant_batched,
-            find_redundant_serial,
+        from repro.align.predicates import (
+            CONTAINMENT_COVERAGE,
+            CONTAINMENT_SIMILARITY,
         )
+        from repro.pace.cache import AlignmentCache
+        from repro.pace.redundancy import parallel_redundancy_removal
+        from repro.parallel.simulator import VirtualCluster
+        from repro.runtime import SerialBackend
+        from repro.runtime.phases import backend_redundancy_removal
         from repro.sequence.generator import MetagenomeSpec, generate_metagenome
 
         spec = MetagenomeSpec(
@@ -555,8 +563,24 @@ class TestPromisingPairDifferentialFuzz:
             redundant_fraction=0.25,
         )
         sequences = generate_metagenome(spec).sequences
-        scalar = find_redundant_serial(sequences, psi=8)
-        batched = find_redundant_batched(sequences, psi=8)
+        encoded = [r.encoded for r in sequences]
+
+        def fresh_cache():
+            return AlignmentCache(lambda k: encoded[k], blosum62_scheme())
+
+        scalar = parallel_redundancy_removal(
+            sequences, VirtualCluster(4), psi=8, cache=fresh_cache()
+        )
+        backend = SerialBackend()
+        with backend.session(sequences, blosum62_scheme()):
+            batched = backend_redundancy_removal(
+                sequences,
+                backend,
+                fresh_cache(),
+                psi=8,
+                similarity=CONTAINMENT_SIMILARITY,
+                coverage=CONTAINMENT_COVERAGE,
+            )
         assert batched.redundant == scalar.redundant
         assert batched.containments == scalar.containments
         assert batched.kept == scalar.kept

@@ -7,8 +7,10 @@ import pytest
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import ProteinFamilyPipeline
 from repro.pace.cache import AlignmentCache
-from repro.pace.redundancy import find_redundant_serial
 from repro.align.matrices import blosum62_scheme
+from repro.align.predicates import CONTAINMENT_COVERAGE, CONTAINMENT_SIMILARITY
+from repro.runtime import SerialBackend
+from repro.runtime.phases import backend_redundancy_removal
 from repro.sequence.generator import MetagenomeSpec, generate_metagenome
 from repro.sequence.record import SequenceRecord, SequenceSet
 from repro.shingle.algorithm import ShingleParams
@@ -18,6 +20,25 @@ FAST = PipelineConfig(
     min_component_size=4,
     min_subgraph_size=4,
 )
+
+
+def find_redundant(sequences, *, psi=10, cache=None):
+    """The pipeline's RR phase on a serial backend."""
+    if cache is None:
+        cache = AlignmentCache(
+            lambda k, enc=[r.encoded for r in sequences]: enc[k],
+            blosum62_scheme(),
+        )
+    backend = SerialBackend()
+    with backend.session(sequences, blosum62_scheme()):
+        return backend_redundancy_removal(
+            sequences,
+            backend,
+            cache,
+            psi=psi,
+            similarity=CONTAINMENT_SIMILARITY,
+            coverage=CONTAINMENT_COVERAGE,
+        )
 
 
 @pytest.fixture(scope="module")
@@ -50,9 +71,9 @@ class TestRedundancyIdempotence:
         """After removing all contained sequences, a second RR pass on the
         survivors must find nothing new (Definition 1 is transitive
         through the longer-survivor tie-break)."""
-        rr1 = find_redundant_serial(data.sequences, psi=10)
+        rr1 = find_redundant(data.sequences)
         survivors = data.sequences.subset(rr1.kept)
-        rr2 = find_redundant_serial(survivors, psi=10)
+        rr2 = find_redundant(survivors)
         assert rr2.redundant == set()
 
 
@@ -92,7 +113,7 @@ class TestMetamorphic:
         augmented = SequenceSet(list(data.sequences))
         victim = data.sequences[0]
         augmented.add(SequenceRecord(id="DUP_" + victim.id, residues=victim.residues))
-        rr = find_redundant_serial(augmented, psi=10)
+        rr = find_redundant(augmented)
         dup_idx = augmented.index_of("DUP_" + victim.id)
         assert dup_idx in rr.redundant
 
@@ -115,7 +136,7 @@ class TestConfigSensitivity:
         )
         pairs = []
         for psi in (8, 12, 16):
-            rr = find_redundant_serial(data.sequences, psi=psi, cache=cache)
+            rr = find_redundant(data.sequences, psi=psi, cache=cache)
             pairs.append(rr.n_promising_pairs)
         assert pairs == sorted(pairs, reverse=True)
 

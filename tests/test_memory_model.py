@@ -14,10 +14,9 @@ import pytest
 from repro.graph.bipartite import duplicate_bipartite
 from repro.parallel.machine import BLUEGENE_L, MachineModel
 from repro.parallel.simulator import MemoryExceededError, VirtualCluster
-from repro.pace.bipartite_gen import ComponentGraphs, generate_component_graphs
+from repro.pace.bipartite_gen import ComponentGraphs
 from repro.pace.densesub import parallel_dense_subgraph_detection
 from repro.shingle.algorithm import ShingleParams
-from repro.sequence.generator import MetagenomeSpec, generate_metagenome
 
 
 def clique_bd(n: int):
@@ -47,40 +46,6 @@ class TestAdjacencyFootprint:
 
 
 class TestMemoryEnforcement:
-    @pytest.fixture(scope="class")
-    def small_component(self):
-        data = generate_metagenome(
-            MetagenomeSpec(
-                n_families=1,
-                mean_family_size=8,
-                mean_length=80,
-                identity_low=0.85,
-                identity_high=0.95,
-                redundant_fraction=0.0,
-                noise_fraction=0.0,
-                seed=13,
-            )
-        )
-        return data.sequences, [list(range(len(data.sequences)))]
-
-    def test_generation_rejects_oversized_component(self, small_component):
-        sequences, components = small_component
-        tiny = MachineModel(
-            name="tiny", compute_rate=1e6, alpha=1e-6, beta=1e-8,
-            memory_per_node=64,  # far below any real graph
-        )
-        with pytest.raises(MemoryError, match="exceeding one tiny node"):
-            generate_component_graphs(
-                sequences, components, min_size=4, machine=tiny
-            )
-
-    def test_generation_passes_on_adequate_node(self, small_component):
-        sequences, components = small_component
-        cg = generate_component_graphs(
-            sequences, components, min_size=4, machine=BLUEGENE_L
-        )
-        assert len(cg.graphs) == 1
-
     def test_dsd_alloc_rejects_graph_bigger_than_node(self):
         graph = clique_bd(40)  # 12,800 bytes of adjacency
         tiny = MachineModel(

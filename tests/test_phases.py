@@ -1,7 +1,9 @@
 """Pipeline phase tests: RR, CCD, bipartite generation, DSD.
 
 The load-bearing invariant: every phase produces identical scientific
-output serially and at any simulated processor count.
+output on the host path (the ``backend_*`` phase functions on a
+``SerialBackend``) and at any simulated processor count (the
+``parallel_*`` drivers, which align every pair with the scalar kernels).
 """
 
 from __future__ import annotations
@@ -11,20 +13,25 @@ import numpy as np
 import pytest
 
 from repro.align.matrices import blosum62_scheme
-from repro.pace.bipartite_gen import generate_component_graphs
+from repro.align.predicates import (
+    CONTAINMENT_COVERAGE,
+    CONTAINMENT_SIMILARITY,
+    OVERLAP_COVERAGE,
+    OVERLAP_SIMILARITY,
+)
 from repro.pace.cache import AlignmentCache
-from repro.pace.clustering import (
-    detect_components_serial,
-    parallel_component_detection,
-    _overlap_passes,
-)
-from repro.pace.densesub import (
-    detect_dense_subgraphs_serial,
-    parallel_dense_subgraph_detection,
-)
-from repro.pace.redundancy import find_redundant_serial, parallel_redundancy_removal
+from repro.pace.clustering import parallel_component_detection, _overlap_passes
+from repro.pace.densesub import parallel_dense_subgraph_detection
+from repro.pace.redundancy import parallel_redundancy_removal
 from repro.parallel.machine import XEON_CLUSTER
 from repro.parallel.simulator import VirtualCluster
+from repro.runtime import SerialBackend
+from repro.runtime.phases import (
+    backend_component_detection,
+    backend_dense_subgraph_detection,
+    backend_generate_component_graphs,
+    backend_redundancy_removal,
+)
 from repro.shingle.algorithm import ShingleParams
 from repro.suffix.matches import MaximalMatchFinder
 
@@ -33,10 +40,57 @@ SMALL_SHINGLE = ShingleParams(s1=3, c1=60, s2=2, c2=25, seed=5)
 
 
 @pytest.fixture(scope="module")
-def rr_serial(small_metagenome_module, cache_module):
-    return find_redundant_serial(
-        small_metagenome_module.sequences, psi=PSI, cache=cache_module
+def backend(small_metagenome_module):
+    backend = SerialBackend()
+    with backend.session(small_metagenome_module.sequences, blosum62_scheme()):
+        yield backend
+
+
+@pytest.fixture(scope="module")
+def rr_serial(small_metagenome_module, backend, cache_module):
+    return backend_redundancy_removal(
+        small_metagenome_module.sequences,
+        backend,
+        cache_module,
+        psi=PSI,
+        similarity=CONTAINMENT_SIMILARITY,
+        coverage=CONTAINMENT_COVERAGE,
     )
+
+
+@pytest.fixture(scope="module")
+def ccd_serial(small_metagenome_module, backend, cache_module, rr_serial):
+    return backend_component_detection(
+        small_metagenome_module.sequences,
+        rr_serial.kept,
+        backend,
+        cache_module,
+        psi=PSI,
+        similarity=OVERLAP_SIMILARITY,
+        coverage=OVERLAP_COVERAGE,
+    )
+
+
+@pytest.fixture(scope="module")
+def generate(small_metagenome_module, backend, cache_module):
+    """Bipartite generation on the serial backend, with the phase's
+    default edge cutoffs."""
+
+    def run(components, *, reduction="global", w=10, min_size=5):
+        return backend_generate_component_graphs(
+            small_metagenome_module.sequences,
+            components,
+            backend,
+            cache_module,
+            reduction=reduction,
+            psi=PSI,
+            edge_similarity=0.40,
+            edge_coverage=0.80,
+            w=w,
+            min_size=min_size,
+        )
+
+    return run
 
 
 @pytest.fixture(scope="module")
@@ -100,12 +154,6 @@ class TestRedundancyRemoval:
 
 
 class TestComponentDetection:
-    @pytest.fixture(scope="class")
-    def ccd_serial(self, small_metagenome_module, cache_module, rr_serial):
-        return detect_components_serial(
-            small_metagenome_module.sequences, rr_serial.kept, psi=PSI, cache=cache_module
-        )
-
     def test_components_partition_kept(self, rr_serial, ccd_serial):
         members = sorted(m for c in ccd_serial.components for m in c)
         assert members == sorted(rr_serial.kept)
@@ -171,86 +219,61 @@ class TestComponentDetection:
 
 class TestBipartiteGeneration:
     @pytest.fixture(scope="class")
-    def components(self, small_metagenome_module, cache_module, rr_serial):
-        ccd = detect_components_serial(
-            small_metagenome_module.sequences, rr_serial.kept, psi=PSI, cache=cache_module
-        )
-        return ccd.components_of_size(5)
+    def components(self, ccd_serial):
+        return ccd_serial.components_of_size(5)
 
-    def test_graphs_per_component(self, small_metagenome_module, cache_module, components):
-        cg = generate_component_graphs(
-            small_metagenome_module.sequences, components, cache=cache_module
-        )
+    def test_graphs_per_component(self, generate, components):
+        cg = generate(components)
         assert len(cg.graphs) == len(cg.components) == len(components)
         for members, graph in zip(cg.components, cg.graphs):
             assert graph.n_left == graph.n_right == len(members)
             assert graph.left_labels == members
 
-    def test_neighbors_symmetric(self, small_metagenome_module, cache_module, components):
-        cg = generate_component_graphs(
-            small_metagenome_module.sequences, components, cache=cache_module
-        )
+    def test_neighbors_symmetric(self, generate, components):
+        cg = generate(components)
         for v, nbrs in cg.neighbors.items():
             for u in nbrs:
                 assert v in cg.neighbors[u]
 
-    def test_domain_reduction(self, small_metagenome_module, cache_module, components):
-        cg = generate_component_graphs(
-            small_metagenome_module.sequences,
-            components,
-            reduction="domain",
-            w=8,
-            cache=cache_module,
-        )
+    def test_domain_reduction(self, generate, components):
+        cg = generate(components, reduction="domain", w=8)
         assert cg.reduction == "domain"
         for members, graph in zip(cg.components, cg.graphs):
             assert graph.n_right == len(members)
             assert graph.right_labels == members
 
-    def test_invalid_reduction(self, small_metagenome_module, components):
+    def test_invalid_reduction(self, generate, components):
         with pytest.raises(ValueError, match="reduction"):
-            generate_component_graphs(
-                small_metagenome_module.sequences, components, reduction="bogus"
-            )
+            generate(components, reduction="bogus")
 
-    def test_small_components_skipped(self, small_metagenome_module, cache_module):
-        cg = generate_component_graphs(
-            small_metagenome_module.sequences, [[0, 1]], min_size=5, cache=cache_module
-        )
+    def test_small_components_skipped(self, generate):
+        cg = generate([[0, 1]], min_size=5)
         assert cg.graphs == []
 
 
 class TestDenseSubgraphDetection:
     @pytest.fixture(scope="class")
-    def component_graphs(self, small_metagenome_module, cache_module, rr_serial):
-        ccd = detect_components_serial(
-            small_metagenome_module.sequences, rr_serial.kept, psi=PSI, cache=cache_module
-        )
-        return generate_component_graphs(
-            small_metagenome_module.sequences,
-            ccd.components_of_size(5),
-            cache=cache_module,
+    def component_graphs(self, generate, ccd_serial):
+        return generate(ccd_serial.components_of_size(5))
+
+    @pytest.fixture(scope="class")
+    def dsd_serial(self, backend, component_graphs):
+        return backend_dense_subgraph_detection(
+            component_graphs, backend, params=SMALL_SHINGLE, min_size=5
         )
 
-    def test_serial_subgraphs_meet_min_size(self, component_graphs):
-        dsd = detect_dense_subgraphs_serial(
-            component_graphs, params=SMALL_SHINGLE, min_size=5
-        )
-        assert all(len(sg) >= 5 for sg in dsd.subgraphs)
+    def test_serial_subgraphs_meet_min_size(self, dsd_serial):
+        assert all(len(sg) >= 5 for sg in dsd_serial.subgraphs)
 
-    def test_subgraphs_within_components(self, component_graphs):
-        dsd = detect_dense_subgraphs_serial(
-            component_graphs, params=SMALL_SHINGLE, min_size=5
-        )
+    def test_subgraphs_within_components(self, component_graphs, dsd_serial):
+        dsd = dsd_serial
         all_members = {m for c in component_graphs.components for m in c}
         for sg in dsd.subgraphs:
             assert set(sg) <= all_members
 
     @pytest.mark.parametrize("p", [1, 2, 4])
-    def test_parallel_equals_serial(self, component_graphs, p):
-        serial = detect_dense_subgraphs_serial(
-            component_graphs, params=SMALL_SHINGLE, min_size=5
-        )
+    def test_parallel_equals_serial(self, component_graphs, dsd_serial, p):
+        serial = dsd_serial
         par = parallel_dense_subgraph_detection(
             component_graphs,
             VirtualCluster(p, XEON_CLUSTER),
@@ -260,30 +283,22 @@ class TestDenseSubgraphDetection:
         assert par.subgraphs == serial.subgraphs
         assert par.sim is not None
 
-    def test_shingle_stats_collected(self, component_graphs):
-        dsd = detect_dense_subgraphs_serial(
-            component_graphs, params=SMALL_SHINGLE, min_size=5
-        )
-        assert len(dsd.shingle_stats) == len(component_graphs.graphs)
+    def test_shingle_stats_collected(self, component_graphs, dsd_serial):
+        assert len(dsd_serial.shingle_stats) == len(component_graphs.graphs)
 
 
 class TestParallelBipartiteGeneration:
     @pytest.fixture(scope="class")
-    def components(self, small_metagenome_module, cache_module, rr_serial):
-        ccd = detect_components_serial(
-            small_metagenome_module.sequences, rr_serial.kept, psi=PSI, cache=cache_module
-        )
-        return ccd.components_of_size(5)
+    def components(self, ccd_serial):
+        return ccd_serial.components_of_size(5)
 
     @pytest.mark.parametrize("p", [1, 3, 6])
     def test_parallel_equals_serial(
-        self, small_metagenome_module, cache_module, components, p
+        self, small_metagenome_module, cache_module, generate, components, p
     ):
         from repro.pace.bipartite_gen import parallel_generate_component_graphs
 
-        serial = generate_component_graphs(
-            small_metagenome_module.sequences, components, cache=cache_module
-        )
+        serial = generate(components)
         par = parallel_generate_component_graphs(
             small_metagenome_module.sequences,
             components,

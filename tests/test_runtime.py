@@ -9,6 +9,8 @@ round-trips, wall-clock stats bookkeeping).
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -111,8 +113,33 @@ class TestRuntimeStats:
         assert stats.cache["misses"] > 0
         assert any("backend=serial" in line for line in stats.summary_lines())
 
-    def test_classic_run_has_no_runtime_stats(self, reference):
-        assert reference.runtime is None
+    def test_phase_walls_cover_the_suffix_build(self, workload, monkeypatch):
+        """The RR and CCD suffix-index builds count as phase time: a
+        slow build shows up in the phases' wall-clock stats and spans."""
+        from repro.runtime import phases
+
+        delay = 0.3
+
+        class SlowFinder(phases.MaximalMatchFinder):
+            def __init__(self, *args, **kwargs):
+                time.sleep(delay)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(phases, "MaximalMatchFinder", SlowFinder)
+        sequences, config = workload
+        result = ProteinFamilyPipeline(config).run(sequences, backend="serial")
+        spans = result.obs.phase_seconds()
+        for name in ("redundancy", "clustering"):
+            assert result.runtime.phases[name].wall_seconds >= delay, name
+            assert spans[name] >= delay, name
+
+    def test_default_run_reports_serial_backend(self, reference):
+        """A run given no backend runs on the serial backend."""
+        assert reference.runtime is not None
+        assert reference.runtime.backend == "serial"
+        assert set(reference.runtime.phases) == {
+            "redundancy", "clustering", "bipartite", "dense_subgraphs",
+        }
 
 
 class TestCrashSafety:
