@@ -35,7 +35,8 @@ class PipelineConfig:
         "global" for B_d (the paper's implemented variant) or "domain"
         for B_m (the paper's proposed future-work variant).
     w:
-        Word length for the domain reduction (paper: ~10).
+        Word length for the domain reduction (paper: ~10; at most 13,
+        the longest word whose base-20 code fits in an int64).
     min_component_size / min_subgraph_size:
         Reporting cutoffs (both 5 in the evaluation).
     tau:
@@ -106,8 +107,15 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be in (0, 1], got {value}")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError(f"tau must be in (0, 1], got {self.tau}")
+        if not 1 <= self.w <= 13:
+            raise ValueError(f"w must be in [1, 13], got {self.w}")
         if self.min_component_size < 1 or self.min_subgraph_size < 1:
             raise ValueError("reporting cutoffs must be >= 1")
+        if self.max_pairs_per_node is not None and self.max_pairs_per_node < 1:
+            raise ValueError(
+                f"max_pairs_per_node must be >= 1 or None, "
+                f"got {self.max_pairs_per_node}"
+            )
         if self.backend not in ("serial", "process"):
             raise ValueError(
                 f"backend must be 'serial' or 'process', got {self.backend!r}"

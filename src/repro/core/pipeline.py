@@ -3,16 +3,18 @@
 ``ProteinFamilyPipeline`` orchestrates redundancy removal, connected
 component detection, bipartite graph generation, and dense subgraph
 detection.  Each phase is defined once, in :mod:`repro.runtime.phases`,
-and runs on an execution backend (:mod:`repro.runtime`): the in-process
-:class:`~repro.runtime.SerialBackend` by default, or worker processes
-that spread the alignment and Shingle work over the host's cores.  Both
-report *measured* wall-clock timings.
+and one of two drivers runs it:
 
-Beside that one host path stands the simulator: given a simulated
-cluster (the paper used BlueGene/L for RR and CCD and a Linux cluster
-for DSD), a phase runs its :mod:`repro.pace` ``parallel_*`` driver
-instead and reports simulated timings.  The scientific results are
-identical in every mode.
+* the host driver, on an execution backend (:mod:`repro.runtime`): the
+  in-process :class:`~repro.runtime.SerialBackend` by default, or
+  worker processes that spread the alignment and Shingle work over the
+  host's cores.  It reports *measured* wall-clock timings.
+* the simulator driver, through the ``parallel_*`` functions of
+  :mod:`repro.pace`, when the phase is given a simulated cluster (the
+  paper used BlueGene/L for RR and CCD and a Linux cluster for DSD).
+  It reports simulated timings.
+
+The scientific results are identical in every mode.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
 from repro.core.config import PipelineConfig
 from repro.eval.report import Table1Row, table1_row
@@ -344,157 +347,102 @@ class ProteinFamilyPipeline:
         timings = PhaseTimings()
         sim_offset = 0.0
 
-        def restored(phase: str, rebuild):
-            """The phase's result rebuilt from the journal, or None."""
-            if state is None or not state.has(phase):
-                return None
-            recorder.count("checkpoint.phases_skipped")
-            return rebuild(state.payload(phase))
-
-        def begin(phase: str) -> None:
+        def run(phase: str, rebuild, payload, on: VirtualCluster | None,
+                on_host, simulated):
+            """One phase: rebuilt by ``rebuild`` from the journal when it
+            records the phase as done; else ``simulated(on)`` when the
+            phase has a simulated cluster ``on``, else ``on_host()``,
+            journaled through ``payload``.  A simulated phase stacks its
+            virtual timeline after the previous phase's."""
+            nonlocal sim_offset
+            if state is not None and state.has(phase):
+                recorder.count("checkpoint.phases_skipped")
+                return rebuild(state.payload(phase))
             if journal is not None:
                 journal.phase_start(phase)
             cache.set_phase(phase)
-
-        def done(phase: str, payload) -> None:
+            if on is None:
+                result = on_host()
+            else:
+                with recorder.span(phase, cat="phase"):
+                    result = simulated(on)
+                setattr(timings, phase, result.sim.elapsed)
+                sim_offset = record_simulation(
+                    recorder, result.sim, phase, offset=sim_offset
+                )
             # A None payload (the domain reduction's alignment-free
             # graphs) is cheaper to recompute on resume than to store.
-            if journal is not None and payload is not None:
-                journal.phase_done(phase, payload)
-
-        def simulate(phase: str, drive):
-            """Run a simulated driver inside its phase span and stack
-            its virtual timeline after the previous phase's."""
-            nonlocal sim_offset
-            with recorder.span(phase, cat="phase"):
-                result = drive()
-            setattr(timings, phase, result.sim.elapsed)
-            sim_offset = record_simulation(
-                recorder, result.sim, phase, offset=sim_offset
-            )
+            stored = payload(result) if journal is not None else None
+            if stored is not None:
+                journal.phase_done(phase, stored)
             return result
 
+        matching: dict[str, Any] = dict(
+            psi=config.psi, max_pairs_per_node=config.max_pairs_per_node)
+        simulated: dict[str, Any] = dict(
+            scheme=config.scheme, cache=cache, cost_model=cost_model)
         with host.session(sequences, config.scheme):
-            rr = restored("redundancy", lambda payload:
-                          ckpt.redundancy_from_payload(payload,
-                                                       len(sequences)))
-            if rr is None:
-                begin("redundancy")
-                if cluster is not None:
-                    rr = simulate("redundancy", lambda: (
-                        parallel_redundancy_removal(
-                            sequences,
-                            cluster,
-                            psi=config.psi,
-                            similarity=config.containment_similarity,
-                            coverage=config.containment_coverage,
-                            scheme=config.scheme,
-                            cache=cache,
-                            cost_model=cost_model,
-                            max_pairs_per_node=config.max_pairs_per_node,
-                        )))
-                else:
-                    rr = backend_redundancy_removal(
-                        sequences,
-                        host,
-                        cache,
-                        psi=config.psi,
-                        similarity=config.containment_similarity,
-                        coverage=config.containment_coverage,
-                        max_pairs_per_node=config.max_pairs_per_node,
-                    )
-                done("redundancy", ckpt.redundancy_payload(rr))
+            rr_args = dict(matching,
+                           similarity=config.containment_similarity,
+                           coverage=config.containment_coverage)
+            rr = run(
+                "redundancy",
+                lambda payload: ckpt.redundancy_from_payload(
+                    payload, len(sequences)),
+                ckpt.redundancy_payload,
+                cluster,
+                lambda: backend_redundancy_removal(
+                    sequences, host, cache, **rr_args),
+                lambda on: parallel_redundancy_removal(
+                    sequences, on, **simulated, **rr_args),
+            )
 
-            ccd = restored("clustering", ckpt.clustering_from_payload)
-            if ccd is None:
-                begin("clustering")
-                if cluster is not None:
-                    ccd = simulate("clustering", lambda: (
-                        parallel_component_detection(
-                            sequences,
-                            rr.kept,
-                            cluster,
-                            psi=config.psi,
-                            similarity=config.overlap_similarity,
-                            coverage=config.overlap_coverage,
-                            scheme=config.scheme,
-                            cache=cache,
-                            cost_model=cost_model,
-                            max_pairs_per_node=config.max_pairs_per_node,
-                        )))
-                else:
-                    ccd = backend_component_detection(
-                        sequences,
-                        rr.kept,
-                        host,
-                        cache,
-                        psi=config.psi,
-                        similarity=config.overlap_similarity,
-                        coverage=config.overlap_coverage,
-                        max_pairs_per_node=config.max_pairs_per_node,
-                        journal=journal,
-                        replay_unions=(state.ccd_unions
-                                       if state is not None else None),
-                    )
-                done("clustering", ckpt.clustering_payload(ccd))
+            ccd_args = dict(matching, similarity=config.overlap_similarity,
+                            coverage=config.overlap_coverage)
+            ccd = run(
+                "clustering",
+                ckpt.clustering_from_payload,
+                ckpt.clustering_payload,
+                cluster,
+                lambda: backend_component_detection(
+                    sequences, rr.kept, host, cache, **ccd_args,
+                    journal=journal,
+                    replay_unions=(state.ccd_unions
+                                   if state is not None else None)),
+                lambda on: parallel_component_detection(
+                    sequences, rr.kept, on, **simulated, **ccd_args),
+            )
 
-            graphs = restored("bipartite", ckpt.bipartite_from_payload)
-            if graphs is None:
-                begin("bipartite")
-                qualifying = ccd.components_of_size(config.min_component_size)
-                if cluster is not None and config.reduction == "global":
-                    graphs = simulate("bipartite", lambda: (
-                        parallel_generate_component_graphs(
-                            sequences,
-                            qualifying,
-                            cluster,
-                            psi=config.psi,
+            qualifying = ccd.components_of_size(config.min_component_size)
+            bgg_args = dict(matching,
                             edge_similarity=config.edge_similarity,
                             edge_coverage=config.edge_coverage,
-                            min_size=config.min_component_size,
-                            scheme=config.scheme,
-                            cache=cache,
-                            cost_model=cost_model,
-                            max_pairs_per_node=config.max_pairs_per_node,
-                        )))
-                else:
-                    graphs = backend_generate_component_graphs(
-                        sequences,
-                        qualifying,
-                        host,
-                        cache,
-                        reduction=config.reduction,
-                        psi=config.psi,
-                        edge_similarity=config.edge_similarity,
-                        edge_coverage=config.edge_coverage,
-                        w=config.w,
-                        min_size=config.min_component_size,
-                        max_pairs_per_node=config.max_pairs_per_node,
-                    )
-                done("bipartite", ckpt.bipartite_payload(graphs))
+                            min_size=config.min_component_size)
+            graphs = run(
+                "bipartite",
+                ckpt.bipartite_from_payload,
+                ckpt.bipartite_payload,
+                cluster if config.reduction == "global" else None,
+                lambda: backend_generate_component_graphs(
+                    sequences, qualifying, host, cache, **bgg_args,
+                    reduction=config.reduction, w=config.w),
+                lambda on: parallel_generate_component_graphs(
+                    sequences, qualifying, on, **simulated, **bgg_args),
+            )
 
-            dense = restored("dense_subgraphs", ckpt.dense_from_payload)
-            if dense is None:
-                begin("dense_subgraphs")
-                if dsd_cluster is not None:
-                    dense = simulate("dense_subgraphs", lambda: (
-                        parallel_dense_subgraph_detection(
-                            graphs,
-                            dsd_cluster,
-                            params=config.shingle,
-                            min_size=config.min_subgraph_size,
-                            tau=config.tau,
-                            cost_model=cost_model,
-                        )))
-                else:
-                    dense = backend_dense_subgraph_detection(
-                        graphs,
-                        host,
-                        params=config.shingle,
-                        min_size=config.min_subgraph_size,
-                        tau=config.tau,
-                    )
-                done("dense_subgraphs", ckpt.dense_payload(dense))
+            dsd_args: dict[str, Any] = dict(
+                params=config.shingle, min_size=config.min_subgraph_size,
+                tau=config.tau)
+            dense = run(
+                "dense_subgraphs",
+                ckpt.dense_from_payload,
+                ckpt.dense_payload,
+                dsd_cluster,
+                lambda: backend_dense_subgraph_detection(
+                    graphs, host, **dsd_args),
+                lambda on: parallel_dense_subgraph_detection(
+                    graphs, on, cost_model=cost_model, **dsd_args),
+            )
         host.stats.cache = cache.stats()
         cache.record_observations(recorder)
         return PipelineResult(

@@ -1,17 +1,19 @@
-"""PaCE-style phases of the pipeline, as the simulator runs them.
+"""PaCE-style phases of the pipeline: results, verdicts, simulated runs.
 
-Each phase is defined once for execution on the host: the
-``backend_*`` functions of :mod:`repro.runtime.phases`, run by the
-pipeline on a :class:`~repro.runtime.SerialBackend` by default.  This
-package holds what those functions share (result types, the
-Definition 1/2 verdicts, the alignment cache) and the *parallel*
-drivers, which execute the same decisions through the master-worker
-protocol on a :class:`repro.parallel.VirtualCluster`, aligning every
-pair with the scalar kernels and yielding simulated run-times.  A key
-design invariant, verified by tests: the parallel drivers produce
-byte-identical scientific results for every processor count, and the
-same results as the host path, because the master's transitive-closure
-filter only skips pairs whose outcome cannot affect connectivity.
+Each phase is defined once, in :mod:`repro.runtime.phases`, and run by
+one of two drivers: the host driver streams it through an execution
+backend (the ``backend_*`` functions), the simulator driver runs it
+through the master-worker protocol on a
+:class:`repro.parallel.VirtualCluster`, aligning every pair with the
+scalar kernels and yielding simulated run-times.  This package holds
+the phases' result types, the Definition 2 overlap verdict, the
+alignment cache, the cost model, and the ``parallel_*`` entry points
+that call the simulator driver (DSD keeps its own simulated driver
+here).  A key design invariant, verified by tests: simulated runs
+produce byte-identical scientific results for every processor count,
+and the same results as the host path, because the master's
+transitive-closure filter only skips pairs whose outcome cannot affect
+connectivity.
 """
 
 from repro.pace.cache import AlignmentCache

@@ -13,24 +13,22 @@ of the graph {promising pairs that pass the overlap test}.  A filtered
 pair is by construction already intra-component, so *which* pairs get
 filtered (a function of message timing) never changes the output — the
 serial backend and every processor count produce identical clusters.
+
+The phase is defined once, as
+:class:`repro.runtime.phases.ClusteringPhase`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from repro import obs
-from repro.align.matrices import ScoringScheme, blosum62_scheme
+from repro.align.matrices import ScoringScheme
 from repro.align.predicates import OVERLAP_COVERAGE, OVERLAP_SIMILARITY
-from repro.graph.unionfind import UnionFind
 from repro.pace.cache import AlignmentCache
 from repro.pace.costs import CostModel
-from repro.parallel.masterworker import MasterWorkerConfig, run_master_worker
-from repro.parallel.partition import balance_items
 from repro.parallel.simulator import SimulationResult, VirtualCluster
 from repro.sequence.record import SequenceSet
-from repro.suffix.matches import MaximalMatchFinder
 
 
 @dataclass
@@ -67,24 +65,6 @@ def _overlap_passes(
     return span / longer >= coverage
 
 
-def _observe_clustering(uf: UnionFind, components: list[list[int]]) -> None:
-    """Record the CCD phase's scientific counters (all drivers funnel
-    here so the counts are defined once)."""
-    obs.count("ccd.merges", uf.merge_count)
-    obs.count("ccd.components", len(components))
-    obs.gauge("ccd.components_now", len(components))
-
-
-def _components_from_uf(kept: Sequence[int], uf: UnionFind) -> list[list[int]]:
-    """Translate local union-find groups back to global indices."""
-    groups: dict[int, list[int]] = {}
-    for local, global_idx in enumerate(kept):
-        groups.setdefault(uf.find(local), []).append(global_idx)
-    out = [sorted(members) for members in groups.values()]
-    out.sort(key=lambda c: (-len(c), c[0]))
-    return out
-
-
 def parallel_component_detection(
     sequences: SequenceSet,
     kept: Sequence[int],
@@ -108,85 +88,15 @@ def parallel_component_detection(
     output identical to
     :func:`repro.runtime.phases.backend_component_detection`.
     """
-    if scheme is None:
-        scheme = blosum62_scheme()
-    costs = CostModel() if cost_model is None else cost_model
-    encoded_all = [record.encoded for record in sequences]
-    if cache is None:  # explicit None test: an empty cache is falsy
-        cache = AlignmentCache(lambda k: encoded_all[k], scheme)
-    local_encoded = [encoded_all[g] for g in kept]
-    finder = MaximalMatchFinder(
-        local_encoded, min_length=psi, max_pairs_per_node=max_pairs_per_node
-    )
+    # Imported here: the phase definition imports this module.
+    from repro.runtime.phases import ClusteringPhase, run_simulated
 
-    n_workers = max(cluster.n_ranks - 1, 1)
-    symbols = finder.bucket_symbols()
-    sizes = finder.bucket_sizes()
-    assignment = balance_items([sizes[s] for s in symbols], n_workers)
-    worker_symbols: list[set[int]] = [
-        {symbols[i] for i in bucket} for bucket in assignment
-    ]
-
-    total_symbols = int(finder.gsa.text.size)
-
-    def setup_cost(worker_index: int, n_w: int) -> float:
-        # O(n*l/p) distributed-GST construction share per worker.
-        return costs.index_symbol * total_symbols / n_w
-
-    def make_generator(worker_index: int, n_w: int) -> Iterator[tuple[tuple[int, int], float]]:
-        for match in finder.matches_for_symbols(worker_symbols[worker_index]):
-            yield (match.pair, costs.generate_pair)
-
-    uf = UnionFind(len(kept))
-    tested: set[tuple[int, int]] = set()
-    counters = {"pairs": 0, "filtered": 0}
-
-    def filter_item(pair: tuple[int, int]):
-        counters["pairs"] += 1
-        obs.count("ccd.pairs")
-        if pair in tested or uf.same(pair[0], pair[1]):
-            counters["filtered"] += 1
-            obs.count("ccd.filtered")
-            return None
-        tested.add(pair)
-        return pair
-
-    def execute_task(pair: tuple[int, int]):
-        obs.count("ccd.alignments")
-        gi, gj = kept[pair[0]], kept[pair[1]]
-        aln = cache.local(gi, gj)
-        passes = _overlap_passes(
-            aln,
-            len(encoded_all[gi]),
-            len(encoded_all[gj]),
-            similarity,
-            coverage,
-        )
-        return (pair, passes), costs.alignment(len(encoded_all[gi]), len(encoded_all[gj]))
-
-    def absorb_result(result) -> float:
-        pair, passes = result
-        if passes:
-            uf.union(pair[0], pair[1])
-            return costs.merge
-        return 0.0
-
-    config = MasterWorkerConfig(
-        make_generator=make_generator,
-        filter_item=filter_item,
-        execute_task=execute_task,
-        absorb_result=absorb_result,
-        filter_cost=costs.filter_pair,
-        setup_cost=setup_cost,
-    )
-    outcome, sim = run_master_worker(cluster, config, record_timeline=record_timeline)
-    components = _components_from_uf(kept, uf)
-    _observe_clustering(uf, components)
-    return ClusteringResult(
-        components=components,
-        n_promising_pairs=counters["pairs"],
-        n_filtered=counters["filtered"],
-        n_alignments=outcome.tasks_executed,
-        n_merges=uf.merge_count,
-        sim=sim,
+    return run_simulated(
+        ClusteringPhase(sequences, kept, similarity, coverage,
+                        psi=psi, max_pairs_per_node=max_pairs_per_node),
+        cluster,
+        scheme=scheme,
+        cache=cache,
+        cost_model=cost_model,
+        record_timeline=record_timeline,
     )

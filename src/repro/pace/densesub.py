@@ -68,6 +68,20 @@ def shingle_component(
     return finals, result.subgraphs, result
 
 
+def dsd_result(
+    results: Sequence[tuple], sim: SimulationResult | None
+) -> DsdResult:
+    """The DSD result from per-component ``(finals, raw, stats)``
+    triples in component order (both DSD drivers end here)."""
+    out = DsdResult(subgraphs=[], sim=sim)
+    for finals, raw, stats in results:
+        out.subgraphs.extend(finals)
+        out.raw.extend(raw)
+        out.shingle_stats.append(stats)
+    out.subgraphs.sort(key=lambda sg: (-len(sg), sg))
+    return out
+
+
 def parallel_dense_subgraph_detection(
     component_graphs: ComponentGraphs,
     cluster: VirtualCluster,
@@ -118,14 +132,8 @@ def parallel_dense_subgraph_detection(
     per_rank_kwargs = [{"batch_ids": assignment[r]} for r in range(cluster.n_ranks)]
     sim = cluster.run(program, per_rank_kwargs=per_rank_kwargs)
 
-    out = DsdResult(subgraphs=[], sim=sim)
     merged: list[tuple[int, list, list, ShingleResult]] = []
     for rank_payload in sim.rank_results[0]:
         merged.extend(rank_payload)
     merged.sort(key=lambda item: item[0])  # deterministic component order
-    for _, finals, raw, stats in merged:
-        out.subgraphs.extend(finals)
-        out.raw.extend(raw)
-        out.shingle_stats.append(stats)
-    out.subgraphs.sort(key=lambda sg: (-len(sg), sg))
-    return out
+    return dsd_result([item[1:] for item in merged], sim)

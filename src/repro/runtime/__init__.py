@@ -1,13 +1,13 @@
 """Execution backends — the pipeline's one host path, beside the simulator.
 
 ``repro.runtime`` *executes* on the host's cores: every pipeline run
-without a simulated cluster runs the phase functions of
+without a simulated cluster runs the phases defined in
 :mod:`repro.runtime.phases` on a backend — :class:`SerialBackend`
 (in-process, the default) or :class:`ProcessBackend` (worker
 processes).  ``repro.parallel`` *models* the paper's clusters (virtual
-time on a machine model) by running the :mod:`repro.pace` ``parallel_*``
-drivers instead.  Both wrap the identical scientific kernels and give
-identical results.  See DESIGN.md, "Simulator versus runtime".
+time on a machine model): the :mod:`repro.pace` ``parallel_*``
+functions run the same phase definitions through the simulator driver.
+Both give identical results.  See DESIGN.md, "Simulator versus runtime".
 
 Usage::
 

@@ -146,6 +146,8 @@ class TestRedundancyRemoval:
         assert par.redundant == rr_serial.redundant
         assert par.kept == rr_serial.kept
         assert par.n_promising_pairs == rr_serial.n_promising_pairs
+        assert par.containments == rr_serial.containments
+        assert par.n_alignments == rr_serial.n_alignments
         assert par.sim is not None and par.sim.elapsed > 0
 
     def test_promising_pairs_far_below_all_pairs(self, small_metagenome_module, rr_serial):
@@ -203,6 +205,7 @@ class TestComponentDetection:
         )
         assert par.components == ccd_serial.components
         assert par.n_promising_pairs == ccd_serial.n_promising_pairs
+        assert par.n_merges == ccd_serial.n_merges
 
     def test_families_not_merged(self, small_metagenome_module, ccd_serial):
         """Sequences from different planted families should not share a
@@ -281,6 +284,7 @@ class TestDenseSubgraphDetection:
             min_size=5,
         )
         assert par.subgraphs == serial.subgraphs
+        assert len(par.shingle_stats) == len(serial.shingle_stats)
         assert par.sim is not None
 
     def test_shingle_stats_collected(self, component_graphs, dsd_serial):
@@ -308,11 +312,50 @@ class TestParallelBipartiteGeneration:
         assert par.components == serial.components
         assert par.n_edges == serial.n_edges
         assert par.neighbors == serial.neighbors
+        assert par.n_alignments == serial.n_alignments
         for pg, sg in zip(par.graphs, serial.graphs):
             assert pg.n_left == sg.n_left
             for v in range(pg.n_left):
                 assert (pg.gamma(v) == sg.gamma(v)).all()
         assert par.sim is not None and par.sim.elapsed > 0
+
+
+class TestSimulatedCosts:
+    """The simulated (elapsed seconds, messages) of every phase are
+    pinned: they feed the Fig. 6/7 and Table II numbers, so any change
+    to a phase's message shapes or cost charges shows up here."""
+
+    EXPECTED = {
+        1: [(0.1100637714285705, 0), (0.016934714285713984, 0),
+            (0.08881894285714231, 0), (0.0007283555555555555, 0)],
+        3: [(0.05544837680199044, 78), (0.04807023699079249, 66),
+            (0.046691325520833396, 65), (0.0007283555555555555, 2)],
+        6: [(0.022697411493210595, 90), (0.021026790790085573, 78),
+            (0.02139420518508185, 74), (0.0007283555555555555, 5)],
+    }
+
+    @pytest.mark.parametrize("p", sorted(EXPECTED))
+    def test_elapsed_and_messages_pinned(
+        self, small_metagenome_module, cache_module, p
+    ):
+        from repro.pace.bipartite_gen import parallel_generate_component_graphs
+
+        sequences = small_metagenome_module.sequences
+        cluster = VirtualCluster(p)
+        rr = parallel_redundancy_removal(
+            sequences, cluster, psi=PSI, cache=cache_module)
+        ccd = parallel_component_detection(
+            sequences, rr.kept, cluster, psi=PSI, cache=cache_module)
+        bgg = parallel_generate_component_graphs(
+            sequences, ccd.components_of_size(5), cluster,
+            psi=PSI, cache=cache_module)
+        dsd = parallel_dense_subgraph_detection(
+            bgg, VirtualCluster(p, XEON_CLUSTER), params=SMALL_SHINGLE)
+        measured = [(r.sim.elapsed, r.sim.total_messages)
+                    for r in (rr, ccd, bgg, dsd)]
+        assert [m for _, m in measured] == [m for _, m in self.EXPECTED[p]]
+        assert [e for e, _ in measured] == pytest.approx(
+            [e for e, _ in self.EXPECTED[p]], rel=1e-9)
 
 
 class TestAlignmentCache:

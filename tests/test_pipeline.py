@@ -59,6 +59,13 @@ class TestConfig:
             PipelineConfig(tau=0.0)
         with pytest.raises(ValueError):
             PipelineConfig(overlap_similarity=2.0)
+        for w in (0, 14):
+            with pytest.raises(ValueError, match="w must be"):
+                PipelineConfig(w=w, reduction="domain")
+        for cap in (0, -3):
+            with pytest.raises(ValueError, match="max_pairs_per_node"):
+                PipelineConfig(max_pairs_per_node=cap)
+        PipelineConfig(w=13, max_pairs_per_node=1)
 
 
 class TestSerialPipeline:
