@@ -137,7 +137,7 @@ _SPECS = [
                 "(the heartbeat source behind `repro top` lane ages)"),
     CounterSpec("runtime.pairs_done.redundancy", "runtime",
                 "RR alignment results absorbed (cache-answered or "
-                "worker-completed) — the progress model's done figure"),
+                "task-computed) — the progress model's done figure"),
     CounterSpec("runtime.pairs_done.clustering", "runtime",
                 "CCD alignment results absorbed — progress done figure"),
     CounterSpec("runtime.pairs_done.bipartite", "runtime",

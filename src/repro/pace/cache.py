@@ -9,9 +9,10 @@ virtual time per *execution*, not per physical computation — so the
 cache is purely a host-side optimisation with no effect on results.
 
 Placement under the execution backends (:mod:`repro.runtime`): the
-cache lives **master-side only**.  Under ``ProcessBackend`` the master
-consults it before dispatching a pair and inserts worker results as
-they return; workers themselves are cache-less.  Sharing the dict with
+cache lives **master-side only**.  Under every backend the master's
+:class:`~repro.runtime.base.AlignmentStream` consults it before a pair
+joins a task and inserts each computed alignment when the task is
+absorbed; the task function itself is cache-less, wherever it runs.  Sharing the dict with
 workers would mean either per-worker private caches (no cross-worker
 reuse — repeats of a pair almost always arrive in a *later phase*, on
 the master's critical path anyway) or pickling alignments through a
@@ -24,11 +25,10 @@ trivial.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
-from repro.align.batch import batch_align
 from repro.align.matrices import ScoringScheme
 from repro.align.pairwise import Alignment, local_align, semiglobal_align
 
@@ -99,87 +99,25 @@ class AlignmentCache:
 
     def local(self, i: int, j: int) -> Alignment:
         """Smith-Waterman alignment of pair (i, j), canonical orientation."""
-        key = self._key(i, j)
-        aln = self._local.get(key)
-        if aln is None:
-            self.local_misses += 1
-            self._tally(hit=False)
-            aln = local_align(self._get(key[0]), self._get(key[1]), self._scheme)
-            self._local[key] = aln
-        else:
-            self.local_hits += 1
-            self._tally(hit=True)
-        return aln
+        return self._align("local", local_align, i, j)
 
     def semiglobal(self, i: int, j: int) -> Alignment:
         """Overlap alignment of pair (i, j), canonical orientation."""
+        return self._align("semiglobal", semiglobal_align, i, j)
+
+    def _align(self, kind: str, kernel: Callable, i: int, j: int) -> Alignment:
         key = self._key(i, j)
-        aln = self._semiglobal.get(key)
+        aln = self._table(kind).get(key)
         if aln is None:
-            self.semiglobal_misses += 1
-            self._tally(hit=False)
-            aln = semiglobal_align(self._get(key[0]), self._get(key[1]), self._scheme)
-            self._semiglobal[key] = aln
-        else:
-            self.semiglobal_hits += 1
-            self._tally(hit=True)
-        return aln
-
-    def batch(self, kind: str, pairs: Sequence[tuple[int, int]]) -> list[Alignment]:
-        """Resolve many pairs at once; misses run through the batched kernel.
-
-        Counter semantics are pinned to the per-pair equivalent: a pair
-        already cached counts a hit, the *first* occurrence of an
-        uncached key counts a miss, and any duplicate of that key later
-        in the same batch counts a hit (exactly what a sequential loop
-        of :meth:`local`/:meth:`semiglobal` calls would record, since
-        the first call inserts before the second looks up).  Results
-        are returned in input order and are identical to the scalar
-        accessors' — the batched kernel is exact, see
-        :mod:`repro.align.batch`.
-        """
-        table = self._table(kind)
-        out: list[Alignment | None] = [None] * len(pairs)
-        pending: dict[tuple[int, int], list[int]] = {}
-        order: list[tuple[int, int]] = []
-        for pos, (i, j) in enumerate(pairs):
-            key = self._key(i, j)
-            aln = table.get(key)
-            if aln is not None:
-                self._count_hit(kind)
-                out[pos] = aln
-            elif key in pending:
-                self._count_hit(kind)
-                pending[key].append(pos)
-            else:
-                self._count_miss(kind)
-                pending[key] = [pos]
-                order.append(key)
-        if order:
-            computed = batch_align(
-                [(self._get(i), self._get(j)) for i, j in order],
-                self._scheme,
-                mode=kind,
-            )
-            for key, aln in zip(order, computed):
-                table[key] = aln
-                for pos in pending[key]:
-                    out[pos] = aln
-        return out  # type: ignore[return-value]
-
-    def _count_hit(self, kind: str) -> None:
+            aln = kernel(self._get(key[0]), self._get(key[1]), self._scheme)
+            self.insert(kind, *key, aln)
+            return aln
         if kind == "local":
             self.local_hits += 1
         else:
             self.semiglobal_hits += 1
         self._tally(hit=True)
-
-    def _count_miss(self, kind: str) -> None:
-        if kind == "local":
-            self.local_misses += 1
-        else:
-            self.semiglobal_misses += 1
-        self._tally(hit=False)
+        return aln
 
     # -- backend hooks -----------------------------------------------------
 
@@ -195,7 +133,8 @@ class AlignmentCache:
         """Store an externally computed alignment; counts as a miss.
 
         The miss accounting reflects that the computation *happened*
-        (on a worker) because the cache could not answer it.
+        (in a task, on whichever process ran it) because the cache could
+        not answer it.
         """
         self._table(kind)[self._key(i, j)] = aln
         self._tally(hit=False)

@@ -21,19 +21,36 @@ Two contracts every backend honours:
    :class:`~repro.pace.cache.AlignmentCache` live only on the master
    (mirroring the paper's PaCE master); workers are stateless alignment
    engines over a shared read-only sequence store.
+
+Both sides of that split are written once, here.
+:class:`AlignmentStream` is the master side: it answers cached pairs,
+gathers the misses into tasks and absorbs their results.
+:func:`run_task` is the worker side: it computes one task wherever the
+backend runs it.  A backend decides only that: where and when a task
+runs (:class:`~repro.runtime.serial.SerialBackend` inline, before the
+submitting call returns; :class:`~repro.runtime.process.ProcessBackend`
+in a worker process, through its fault-tolerant task ledger).
 """
 
 from __future__ import annotations
 
 import abc
 import contextlib
+import math
 import multiprocessing
 import os
 import platform
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
+
+from repro import obs
+from repro.align.batch import batch_align, batch_containment
+from repro.align.pairwise import local_align, semiglobal_align
+from repro.util.timing import monotonic_now
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
+    import numpy as np
+
     from repro.align.matrices import ScoringScheme
     from repro.align.pairwise import Alignment
     from repro.graph.bipartite import BipartiteGraph
@@ -114,68 +131,168 @@ class RuntimeStats:
         return lines
 
 
-class AlignmentStream(abc.ABC):
-    """Streaming pair-alignment channel — the backends' hot-path primitive.
+#: Scalar kernel per alignment kernel name, for tasks of one pair.
+_SCALAR = {"local": local_align, "semiglobal": semiglobal_align}
 
-    The master submits ``(i, j)`` global index pairs; completed
-    :class:`~repro.align.pairwise.Alignment` results come back through
-    :meth:`ready` (non-blocking) or :meth:`drain` (blocking flush) in an
-    unspecified order.  Phase drivers interleave ``submit`` with
-    ``ready`` so master-side state (e.g. the CCD union–find filter)
-    advances while workers align.
+
+def run_task(body: tuple, scheme: "ScoringScheme",
+             get: Callable[[int], "np.ndarray"]) -> Any:
+    """Compute one task body; every backend runs its tasks through here.
+
+    ``get`` maps a global index to its encoded sequence.  Bodies and
+    results:
+
+    * ``("align", kernel, pairs)`` -> one ``(None, Alignment)`` per pair.
+      A lone pair runs the scalar kernel, which is faster than a
+      one-pair batch; more pairs run :func:`~repro.align.batch.batch_align`.
+      Both give equal alignments.
+    * ``("contain", similarity, coverage, pairs)`` -> one ``(stats,
+      Alignment or None)`` per pair from
+      :func:`~repro.align.batch.batch_containment`; the alignment is None
+      where no DP ran (Myers-rejected or exact-certified pairs).
+    * ``("shingle", graph, reduction, params, min_size, tau)`` -> the
+      ``(finals, raw, stats)`` triple of
+      :func:`~repro.pace.densesub.shingle_component`.
+
+    The function never touches the alignment cache: the master's stream
+    inserts what comes back, whichever process computed it.
+    """
+    kind = body[0]
+    if kind == "shingle":
+        from repro.pace.densesub import shingle_component
+
+        return shingle_component(*body[1:])
+    if kind not in ("align", "contain"):
+        raise ValueError(f"unknown task kind {kind!r}")
+    seqs = [(get(i), get(j)) for i, j in body[-1]]
+    if kind == "contain":
+        res = batch_containment(seqs, scheme=scheme, similarity=body[1],
+                                coverage=body[2])
+        return list(zip(res.stats, res.alignments))
+    if len(seqs) == 1:
+        return [(None, _SCALAR[body[1]](*seqs[0], scheme))]
+    return [(None, aln) for aln in batch_align(seqs, scheme, mode=body[1])]
+
+
+class AlignmentStream:
+    """Streaming pair channel between a phase driver and a backend.
+
+    The master submits ``(i, j)`` global index pairs; results come back
+    as ``(i, j, result)`` through :meth:`ready` (non-blocking) or
+    :meth:`drain` (blocking flush), in an unspecified order.  Phase
+    drivers interleave ``submit`` with ``ready`` so master-side state
+    (e.g. the CCD union–find filter) advances while workers align.
+
+    ``kernel`` is "local" or "semiglobal" (``result`` is an
+    :class:`~repro.align.pairwise.Alignment`), or "containment":
+    ``result`` is the Definition 1 statistics ``(identity, coverage_i,
+    coverage_j)``.  RR verdicts consume only these three floats, so a
+    pair *proven* unable to pass Definition 1 in either direction comes
+    back as ``(0.0, 0.0, 0.0)`` with no alignment behind it, and the
+    decision is unchanged.
+
+    This is the master side of the paper's master–worker split, written
+    once for every backend.  Each pair is put in ``i < j`` order.  A
+    cached pair is answered on the master, counting the hit through the
+    cache accessor and in the phase's ``cache_hits``.  The misses are
+    collected into a task of the backend's task size; the backend
+    decides only where a task runs.  Absorbing a task inserts every
+    alignment it computed into the cache.  A pair must not be submitted
+    again while it is in flight.
     """
 
-    @abc.abstractmethod
+    def __init__(self, backend: "Backend", stream_id: int, kernel: str,
+                 cache: "AlignmentCache", phase: PhaseStats,
+                 params: tuple = ()):
+        self._backend = backend
+        self.stream_id = stream_id
+        self.kernel = kernel
+        self._cache = cache
+        self.phase = phase
+        self._params = params
+        self._cached = "semiglobal" if kernel == "containment" else kernel
+        self._flush_at = backend._task_size(kernel)
+        self._batch: list[tuple[int, int]] = []
+        self.in_flight = 0
+        self._done: list[tuple[int, int, Any]] = []
+        obs.gauge(f"stream.{stream_id}.kind", kernel)
+
     def submit(self, i: int, j: int) -> None:
-        """Request alignment of global sequence pair (i, j)."""
+        """Request the result for global sequence pair (i, j)."""
+        self.submit_many(((i, j),))
 
     def submit_many(self, pairs: Sequence[tuple[int, int]]) -> None:
-        """Request alignment of many pairs at once.
-
-        The default forwards pair by pair; backends override it to hand
-        whole chunks to the batched kernels
-        (:func:`repro.align.batch.batch_align`) so the per-dispatch
-        NumPy overhead amortises across the pair axis.
-        """
+        """Request results for many pairs at once."""
+        if not pairs:
+            return
+        cache = self._cache
         for i, j in pairs:
-            self.submit(i, j)
+            if i > j:
+                i, j = j, i
+            if cache.peek(self._cached, i, j) is None:
+                self._batch.append((i, j))
+                self.phase.tasks += 1
+                if len(self._batch) >= self._flush_at:
+                    self.flush_batch()
+                continue
+            if self._cached == "local":
+                aln = cache.local(i, j)
+            else:
+                aln = cache.semiglobal(i, j)
+            self.phase.cache_hits += 1
+            obs.count(f"runtime.pairs_done.{self.phase.name}")
+            self._done.append((i, j, self._result(i, j, None, aln)))
+        self._backend._settle(self)
 
-    @abc.abstractmethod
-    def ready(self) -> list[tuple[int, int, "Alignment"]]:
+    def flush_batch(self) -> None:
+        """Hand the collected misses to the backend as one task."""
+        if not self._batch:
+            return
+        if self.kernel == "containment":
+            body: tuple = ("contain", *self._params, self._batch)
+        else:
+            body = ("align", self.kernel, self._batch)
+        pairs, self._batch = self._batch, []
+        self.in_flight += 1
+        obs.gauge(f"stream.{self.stream_id}.in_flight", self.in_flight)
+        self._backend._submit(
+            body, lambda results, busy: self.absorb(pairs, results, busy))
+
+    def absorb(self, pairs: list[tuple[int, int]], results: list[tuple],
+               busy: float) -> None:
+        """Take in one computed task: :func:`run_task`'s ``results`` for
+        ``pairs``, computed in ``busy`` seconds (backend hook, called
+        exactly once per task)."""
+        self.in_flight -= 1
+        obs.gauge(f"stream.{self.stream_id}.in_flight", self.in_flight)
+        self.phase.busy_seconds += busy
+        obs.count(f"runtime.pairs_done.{self.phase.name}", len(pairs))
+        for (i, j), (stats, aln) in zip(pairs, results):
+            if aln is not None:
+                self._cache.insert(self._cached, i, j, aln)
+            self._done.append((i, j, self._result(i, j, stats, aln)))
+
+    def _result(self, i: int, j: int, stats, aln: "Alignment") -> Any:
+        if self.kernel != "containment":
+            return aln
+        if stats is not None:
+            return stats
+        return (aln.identity,
+                aln.coverage_a(len(self._cache.encoded(i))),
+                aln.coverage_b(len(self._cache.encoded(j))))
+
+    def ready(self) -> list[tuple[int, int, Any]]:
         """Completed results available now, without blocking."""
+        self._backend._pump(block=False)
+        out, self._done = self._done, []
+        return out
 
-    @abc.abstractmethod
-    def drain(self) -> Iterator[tuple[int, int, "Alignment"]]:
+    def drain(self) -> Iterator[tuple[int, int, Any]]:
         """Flush: block until every submitted pair has a result."""
-
-
-class ContainmentStream(abc.ABC):
-    """Streaming Definition 1 statistics channel — the RR phase primitive.
-
-    Same submit/ready/drain shape as :class:`AlignmentStream`, but the
-    result for a pair is ``(i, j, (identity, coverage_i, coverage_j))``
-    oriented to the canonical ``i < j`` order.  RR verdicts consume only
-    these three floats, never the traceback — which is what lets
-    backends route pairs through alignment-free fast paths
-    (:func:`repro.align.batch.batch_containment`): a pair *proven*
-    unable to pass Definition 1 in either direction ships the surrogate
-    ``(0.0, 0.0, 0.0)`` and the decision is unchanged.
-    """
-
-    @abc.abstractmethod
-    def submit_many(self, pairs: Sequence[tuple[int, int]]) -> None:
-        """Request Definition 1 statistics for many pairs."""
-
-    def submit(self, i: int, j: int) -> None:
-        self.submit_many([(i, j)])
-
-    @abc.abstractmethod
-    def ready(self) -> list[tuple[int, int, tuple[float, float, float]]]:
-        """Completed statistics available now, without blocking."""
-
-    @abc.abstractmethod
-    def drain(self) -> Iterator[tuple[int, int, tuple[float, float, float]]]:
-        """Flush: block until every submitted pair has statistics."""
+        self.flush_batch()
+        while self.in_flight > 0:
+            self._backend._pump(block=True)
+        yield from self.ready()
 
 
 class Backend(abc.ABC):
@@ -196,6 +313,7 @@ class Backend(abc.ABC):
     def __init__(self) -> None:
         self.stats = RuntimeStats(backend=self.name, workers=self.workers)
         self._current_phase: PhaseStats | None = None
+        self._next_stream_id = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -226,9 +344,6 @@ class Backend(abc.ABC):
         recorder (when one is installed), so backend runs and serial
         runs share one timeline vocabulary.
         """
-        from repro import obs
-        from repro.util.timing import monotonic_now
-
         stats = self.stats.phases.setdefault(name, PhaseStats(name))
         previous = self._current_phase
         self._current_phase = stats
@@ -263,27 +378,36 @@ class Backend(abc.ABC):
 
     # -- work primitives ---------------------------------------------------
 
-    @abc.abstractmethod
     def alignment_stream(
         self, kind: str, cache: "AlignmentCache"
     ) -> AlignmentStream:
         """Open a stream of ``kind`` ("local" or "semiglobal") alignments."""
+        if kind not in ("local", "semiglobal"):
+            raise ValueError(f"unknown alignment kind {kind!r}")
+        return self._open_stream(kind, cache)
 
-    @abc.abstractmethod
     def containment_stream(
         self,
         cache: "AlignmentCache",
         *,
         similarity: float,
         coverage: float,
-    ) -> ContainmentStream:
+    ) -> AlignmentStream:
         """Open a Definition 1 statistics stream for the RR phase.
 
-        Backends answer it with the batched containment engine, whose
-        decisions are provably identical to a full semiglobal alignment
-        per pair; ``similarity``/``coverage`` parameterise its sound
-        rejection threshold.
+        Its tasks run the batched containment engine, whose decisions
+        are provably identical to a full semiglobal alignment per pair;
+        ``similarity``/``coverage`` parameterise its sound rejection
+        threshold.
         """
+        return self._open_stream("containment", cache, (similarity, coverage))
+
+    def _open_stream(self, kernel: str, cache: "AlignmentCache",
+                     params: tuple = ()) -> AlignmentStream:
+        self._require_open()
+        self._next_stream_id += 1
+        return AlignmentStream(self, self._next_stream_id - 1, kernel, cache,
+                               self._phase_stats(), params)
 
     @abc.abstractmethod
     def map_components(
@@ -300,6 +424,28 @@ class Backend(abc.ABC):
         order (components are independent, so any execution order gives
         identical results).
         """
+
+    # -- task placement (the hooks an AlignmentStream calls) ---------------
+
+    def _require_open(self) -> None:
+        """Raise :class:`BackendError` if work cannot be accepted."""
+
+    def _task_size(self, kernel: str) -> float:
+        """Pairs per task: a stream flushes its misses at this size.  The
+        default sets no size; the backend flushes in :meth:`_settle`."""
+        return math.inf
+
+    @abc.abstractmethod
+    def _submit(self, body: tuple,
+                sink: Callable[[Any, float], None] | None = None) -> None:
+        """Run the :func:`run_task` body ``body``, now or later; call
+        ``sink(result, busy_seconds)`` exactly once when it is done."""
+
+    def _settle(self, stream: AlignmentStream) -> None:
+        """Called at the end of every ``submit``/``submit_many`` call."""
+
+    def _pump(self, *, block: bool) -> None:
+        """Take in finished tasks; with ``block``, wait for at least one."""
 
 
 def default_worker_count() -> int:

@@ -66,7 +66,7 @@ from repro.pace.redundancy import RedundancyResult
 from repro.parallel.masterworker import MasterWorkerConfig, run_master_worker
 from repro.parallel.partition import balance_items
 from repro.parallel.simulator import SimulationResult, VirtualCluster
-from repro.runtime.base import AlignmentStream, Backend, ContainmentStream
+from repro.runtime.base import Backend
 from repro.sequence.record import SequenceSet
 from repro.shingle.algorithm import ShingleParams
 from repro.suffix.matches import MaximalMatch, MaximalMatchFinder
@@ -404,7 +404,6 @@ def run_on_backend(
     by at most the work in flight.
     """
     with backend.phase(phase.name):
-        stream: AlignmentStream | ContainmentStream
         if phase.kernel == "containment":
             stream = backend.containment_stream(
                 cache, similarity=phase.similarity, coverage=phase.coverage)

@@ -15,9 +15,14 @@ alignment/Shingle engines.  Work flows through per-worker task queues:
   pair generation, so the CCD transitive-closure filter keeps advancing
   while workers are busy.
 
-Backpressure caps outstanding batches at ``max_outstanding_factor *
+Backpressure caps outstanding tasks at ``MAX_OUTSTANDING_FACTOR *
 workers`` so the queues stay small and absorbed verdicts reach the
 filter quickly.
+
+The master side of a stream is the shared
+:class:`~repro.runtime.base.AlignmentStream`, and every task, wherever
+it runs, is computed by :func:`~repro.runtime.base.run_task`; this
+module adds only the ledger, the worker loop and the wire format.
 
 Fault tolerance (the PaCE paper assumed BlueGene nodes that never die;
 we do not): every in-flight task is held in a master-side **ledger**
@@ -43,22 +48,19 @@ import os
 import queue as queue_mod
 import time
 import traceback
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro import obs
-from repro.align.batch import batch_containment
 from repro.align.pairwise import Alignment
-from repro.pace.cache import AlignmentCache
 from repro.runtime.base import (
     AlignmentStream,
     Backend,
     BackendError,
-    ContainmentStream,
-    PhaseStats,
     WorkerCrashError,
     default_worker_count,
     preferred_start_method,
+    run_task,
 )
 from repro.runtime.sharedseq import SharedSequenceStore, StoreSpec
 from repro.util.lockwatch import named_lock
@@ -76,42 +78,48 @@ DEFAULT_BATCH_SIZE = 32
 #: chunk's pair axis, and RR has no master-side filter to keep fresh.
 CONTAIN_BATCH_SIZE = 256
 
+#: Backpressure: at most this many tasks per worker are in flight.
+MAX_OUTSTANDING_FACTOR = 4
+
 #: Respawn budget default: each slot may be refilled twice.
 DEFAULT_RESPAWN_FACTOR = 2
 
 #: A task that has killed this many workers is quarantined in-master.
 POISON_DEATHS = 2
 
-_STOP = ("stop",)
 
-
-def _align_summary(aln: Alignment) -> tuple:
-    """Compact wire form of an Alignment (mode re-attached master-side)."""
+def _align_summary(aln: Alignment | None) -> tuple | None:
+    """Compact wire form of an Alignment: its fields as a plain tuple
+    (``Alignment(*summary)`` rebuilds it on the master)."""
+    if aln is None:
+        return None
     return (
         aln.score, aln.a_start, aln.a_end, aln.b_start, aln.b_end,
-        aln.matches, aln.length, aln.gaps,
+        aln.matches, aln.length, aln.gaps, aln.mode,
     )
 
 
-def _summary_alignment(summary: tuple, mode: str) -> Alignment:
-    score, a_start, a_end, b_start, b_end, matches, length, gaps = summary
-    return Alignment(
-        score=score, a_start=a_start, a_end=a_end, b_start=b_start,
-        b_end=b_end, matches=matches, length=length, gaps=gaps, mode=mode,
-    )
+def _traced_task(body: tuple, scheme, get, **args) -> Any:
+    """:func:`~repro.runtime.base.run_task` under a ``task`` span named
+    after the kernel (a Shingle task records its own span)."""
+    if body[0] not in ("align", "contain"):
+        return run_task(body, scheme, get)
+    name = "align.contain" if body[0] == "contain" else f"align.{body[1]}"
+    with obs.span(name, cat="task", pairs=len(body[-1]), **args):
+        return run_task(body, scheme, get)
 
 
 def _worker_main(worker_index: int, task_queue, result_queue,
                  store_spec: StoreSpec, scheme) -> None:
-    """Worker loop: attach the store once, then serve tasks until "stop".
+    """Worker loop: attach the store once, then serve tasks until None.
 
-    Task wire format is ``(kind, task_id, fault, *payload)``.  The
-    ``fault`` slot is normally None; under a
-    :class:`~repro.faults.plan.FaultPlan` the master attaches
-    ``("die",)`` (exit immediately — the SIGKILL/OOM stand-in, injected
-    *before* any result exists so recovery decides the science) or
-    ``("delay", seconds)`` (sleep, then compute — exercises the hang
-    detector).
+    Task wire format is ``(task_id, fault, body)``, ``body`` a
+    :func:`~repro.runtime.base.run_task` body.  The ``fault`` slot is
+    normally None; under a :class:`~repro.faults.plan.FaultPlan` the
+    master attaches ``("die",)`` (exit immediately — the SIGKILL/OOM
+    stand-in, injected *before* any result exists so recovery decides
+    the science) or ``("delay", seconds)`` (sleep, then compute —
+    exercises the hang detector).
 
     Every exception is reported as an ("error", ...) message rather than
     allowed to kill the process silently, so the master can surface the
@@ -123,16 +131,13 @@ def _worker_main(worker_index: int, task_queue, result_queue,
     result message, and the master rebases them onto the run recorder —
     workers never share observability state with the master.
     """
-    from repro.align.batch import batch_align, batch_containment
-    from repro.pace.densesub import shingle_component
-
     store = SharedSequenceStore.attach(store_spec)
     try:
         while True:
             task = task_queue.get()
-            if task[0] == "stop":
+            if task is None:
                 break
-            task_id, fault = task[1], task[2]
+            task_id, fault, body = task
             if fault is not None:
                 if fault[0] == "die":
                     os._exit(137)
@@ -140,62 +145,17 @@ def _worker_main(worker_index: int, task_queue, result_queue,
                     time.sleep(fault[1])
             try:
                 recorder = obs.Recorder()
+                start = monotonic_now()
                 with obs.recording(recorder):
-                    if task[0] == "align":
-                        _, _, _, stream_id, kind, pairs = task
-                        start = monotonic_now()
-                        with recorder.span(f"align.{kind}", cat="task",
-                                           pairs=len(pairs)):
-                            alns = batch_align(
-                                [(store.get(i), store.get(j)) for i, j in pairs],
-                                scheme, mode=kind,
-                            )
-                            summaries = [
-                                (i, j) + _align_summary(aln)
-                                for (i, j), aln in zip(pairs, alns)
-                            ]
-                        result_queue.put(
-                            ("align", task_id, stream_id, summaries,
-                             monotonic_now() - start,
-                             (worker_index, recorder.wall_spans(),
-                              recorder.counters()))
-                        )
-                    elif task[0] == "contain":
-                        _, _, _, stream_id, similarity, coverage, pairs = task
-                        start = monotonic_now()
-                        with recorder.span("align.contain", cat="task",
-                                           pairs=len(pairs)):
-                            res = batch_containment(
-                                [(store.get(i), store.get(j)) for i, j in pairs],
-                                scheme=scheme, similarity=similarity,
-                                coverage=coverage,
-                            )
-                            items = [
-                                (i, j, stats,
-                                 None if aln is None else _align_summary(aln))
-                                for (i, j), stats, aln in zip(
-                                    pairs, res.stats, res.alignments)
-                            ]
-                        result_queue.put(
-                            ("contain", task_id, stream_id, items,
-                             monotonic_now() - start,
-                             (worker_index, recorder.wall_spans(),
-                              recorder.counters()))
-                        )
-                    elif task[0] == "shingle":
-                        # shingle_component records its own task span
-                        # and dsd.* counters on the ambient recorder.
-                        _, _, _, job_id, graph, reduction, params, min_size, tau = task
-                        start = monotonic_now()
-                        payload = shingle_component(graph, reduction, params, min_size, tau)
-                        result_queue.put(
-                            ("shingle", task_id, job_id, payload,
-                             monotonic_now() - start,
-                             (worker_index, recorder.wall_spans(),
-                              recorder.counters()))
-                        )
-                    else:
-                        raise ValueError(f"unknown task kind {task[0]!r}")
+                    result = _traced_task(body, scheme, store.get)
+                if body[0] != "shingle":
+                    result = [(stats, _align_summary(aln))
+                              for stats, aln in result]
+                result_queue.put(
+                    ("done", task_id, result, monotonic_now() - start,
+                     (worker_index, recorder.wall_spans(),
+                      recorder.counters()))
+                )
             except Exception:
                 result_queue.put(
                     ("error", worker_index, task_id, traceback.format_exc())
@@ -210,218 +170,14 @@ class _TaskRecord:
 
     task_id: int
     body: tuple
-    """Bare task body, fault-free: ("align", stream_id, kind, pairs) or
-    ("shingle", job_id, graph, reduction, params, min_size, tau)."""
+    """The :func:`~repro.runtime.base.run_task` body, fault-free."""
     phase: str
+    sink: Callable[[Any, float], None] | None = None
+    """Receives ``(result, busy_seconds)`` once the task is absorbed."""
     worker: int = -1
     dispatched_at: float = 0.0
     deaths: int = 0
     poisoned: bool = False
-
-
-class _ProcessStream(AlignmentStream):
-    """Master-side view of one chunked alignment stream.
-
-    The cache is consulted *before* dispatch (repeat pairs — e.g. a pair
-    aligned locally in CCD showing up again in bipartite generation —
-    never leave the master) and populated from worker results, so it
-    stays authoritative and master-side only.
-    """
-
-    def __init__(self, backend: "ProcessBackend", stream_id: int, kind: str,
-                 cache: AlignmentCache, phase: PhaseStats):
-        if kind not in ("local", "semiglobal"):
-            raise ValueError(f"unknown alignment kind {kind!r}")
-        self._backend = backend
-        self.stream_id = stream_id
-        self.kind = kind
-        self._cache = cache
-        self._phase = phase
-        self._batch: list[tuple[int, int]] = []
-        self.in_flight = 0
-        self.done: list[tuple[int, int, Alignment]] = []
-
-    def submit(self, i: int, j: int) -> None:
-        if i > j:
-            i, j = j, i
-        if self._cache.peek(self.kind, i, j) is not None:
-            aln = (
-                self._cache.local(i, j)
-                if self.kind == "local"
-                else self._cache.semiglobal(i, j)
-            )
-            self._phase.cache_hits += 1
-            obs.count(f"runtime.pairs_done.{self._phase.name}")
-            self.done.append((i, j, aln))
-            return
-        self._batch.append((i, j))
-        self._phase.tasks += 1
-        if len(self._batch) >= self._backend.batch_size:
-            self.flush()
-        self._backend._throttle(self)
-
-    def flush(self) -> None:
-        if not self._batch:
-            return
-        obs.count("runtime.batch_pairs", len(self._batch))
-        self._backend._submit(("align", self.stream_id, self.kind, self._batch))
-        self._batch = []
-        self.in_flight += 1
-        obs.gauge(f"stream.{self.stream_id}.in_flight", self.in_flight)
-
-    def absorb(self, summaries: list[tuple], busy: float) -> None:
-        """Route one batch result into this stream (backend hook).
-
-        Called exactly once per ledger entry — by the dedup gate in
-        :meth:`ProcessBackend._route` — whether the batch was computed
-        by its first worker, a survivor after requeue, or the master
-        under quarantine/degraded mode.
-        """
-        self.in_flight -= 1
-        obs.gauge(f"stream.{self.stream_id}.in_flight", self.in_flight)
-        self._phase.busy_seconds += busy
-        obs.count(f"runtime.pairs_done.{self._phase.name}", len(summaries))
-        for item in summaries:
-            i, j = item[0], item[1]
-            aln = _summary_alignment(item[2:], self.kind)
-            self._cache.insert(self.kind, i, j, aln)
-            self.done.append((i, j, aln))
-
-    def compute_batch(self, pairs: list[tuple[int, int]]) -> list[tuple]:
-        """Compute one batch in-master (quarantine / degraded path).
-
-        Goes through the cache accessors, which run the identical
-        alignment kernels the workers run — result invariance does not
-        depend on *where* a pair was aligned.
-        """
-        summaries = []
-        for i, j in pairs:
-            aln = (
-                self._cache.local(i, j)
-                if self.kind == "local"
-                else self._cache.semiglobal(i, j)
-            )
-            summaries.append((i, j) + _align_summary(aln))
-        return summaries
-
-    def ready(self) -> list[tuple[int, int, Alignment]]:
-        self._backend._pump(block=False)
-        out = self.done
-        self.done = []
-        return out
-
-    def drain(self) -> Iterator[tuple[int, int, Alignment]]:
-        self.flush()
-        while self.in_flight > 0:
-            self._backend._pump(block=True)
-        yield from self.ready()
-
-
-class _ProcessContainmentStream(ContainmentStream):
-    """Master-side view of one chunked RR containment stream.
-
-    Mirrors :class:`_ProcessStream` routing — cache consulted before
-    dispatch, worker results absorbed through the exactly-once ledger
-    gate — but ships Definition 1 *statistics* instead of alignments:
-    workers run :func:`repro.align.batch.batch_containment`, so only
-    pairs that actually needed the DP come back with an alignment
-    summary for the cache.  Tasks are chunked larger than plain align
-    batches because the bit-parallel Myers sweep amortises its NumPy
-    dispatch across the pair axis.
-    """
-
-    def __init__(self, backend: "ProcessBackend", stream_id: int,
-                 cache: AlignmentCache, phase: PhaseStats,
-                 similarity: float, coverage: float):
-        self._backend = backend
-        self.stream_id = stream_id
-        self._cache = cache
-        self._phase = phase
-        self._similarity = similarity
-        self._coverage = coverage
-        self._batch: list[tuple[int, int]] = []
-        self._flush_at = max(backend.batch_size, CONTAIN_BATCH_SIZE)
-        self.in_flight = 0
-        self.done: list[tuple[int, int, tuple[float, float, float]]] = []
-
-    def _stats(self, i: int, j: int, aln: Alignment) -> tuple[float, float, float]:
-        store = self._backend._store
-        return (
-            aln.identity,
-            aln.coverage_a(len(store.get(i))),
-            aln.coverage_b(len(store.get(j))),
-        )
-
-    def submit_many(self, pairs) -> None:
-        for i, j in pairs:
-            if i > j:
-                i, j = j, i
-            if self._cache.peek("semiglobal", i, j) is not None:
-                aln = self._cache.semiglobal(i, j)
-                self._phase.cache_hits += 1
-                obs.count(f"runtime.pairs_done.{self._phase.name}")
-                self.done.append((i, j, self._stats(i, j, aln)))
-                continue
-            self._batch.append((i, j))
-            self._phase.tasks += 1
-            if len(self._batch) >= self._flush_at:
-                self.flush()
-        self._backend._throttle(self)
-
-    def flush(self) -> None:
-        if not self._batch:
-            return
-        obs.count("runtime.batch_pairs", len(self._batch))
-        self._backend._submit(
-            ("contain", self.stream_id, self._similarity, self._coverage,
-             self._batch)
-        )
-        self._batch = []
-        self.in_flight += 1
-        obs.gauge(f"stream.{self.stream_id}.in_flight", self.in_flight)
-
-    def absorb(self, items: list[tuple], busy: float) -> None:
-        """Route one batch result into this stream (backend hook);
-        called exactly once per ledger entry, like
-        :meth:`_ProcessStream.absorb`."""
-        self.in_flight -= 1
-        obs.gauge(f"stream.{self.stream_id}.in_flight", self.in_flight)
-        self._phase.busy_seconds += busy
-        obs.count(f"runtime.pairs_done.{self._phase.name}", len(items))
-        for i, j, stats, summary in items:
-            if summary is not None:
-                self._cache.insert(
-                    "semiglobal", i, j,
-                    _summary_alignment(summary, "semiglobal"),
-                )
-            self.done.append((i, j, stats))
-
-    def compute_batch(self, pairs: list[tuple[int, int]]) -> list[tuple]:
-        """Quarantine/degraded path: same engine, run in-master."""
-        store = self._backend._store
-        result = batch_containment(
-            [(store.get(i), store.get(j)) for i, j in pairs],
-            scheme=self._backend._scheme,
-            similarity=self._similarity,
-            coverage=self._coverage,
-        )
-        return [
-            (i, j, stats, None if aln is None else _align_summary(aln))
-            for (i, j), stats, aln in zip(
-                pairs, result.stats, result.alignments)
-        ]
-
-    def ready(self) -> list[tuple[int, int, tuple[float, float, float]]]:
-        self._backend._pump(block=False)
-        out = self.done
-        self.done = []
-        return out
-
-    def drain(self) -> Iterator[tuple[int, int, tuple[float, float, float]]]:
-        self.flush()
-        while self.in_flight > 0:
-            self._backend._pump(block=True)
-        yield from self.ready()
 
 
 class ProcessBackend(Backend):
@@ -435,7 +191,6 @@ class ProcessBackend(Backend):
         *,
         batch_size: int = DEFAULT_BATCH_SIZE,
         start_method: str | None = None,
-        max_outstanding_factor: int = 4,
         fault_plan: "FaultPlan | None" = None,
         task_deadline: float | None = None,
         respawn_budget: int | None = None,
@@ -456,7 +211,7 @@ class ProcessBackend(Backend):
         self._start_method = (
             preferred_start_method() if start_method is None else start_method
         )
-        self._max_outstanding = max_outstanding_factor * self.workers
+        self._max_outstanding = MAX_OUTSTANDING_FACTOR * self.workers
         self.task_deadline = task_deadline
         self.respawn_budget = (
             DEFAULT_RESPAWN_FACTOR * self.workers
@@ -475,8 +230,6 @@ class ProcessBackend(Backend):
         self._dead_queues: list = []
         self._incarnation: list[int] = []
         self._results = None
-        self._streams: dict[int, "_ProcessStream | _ProcessContainmentStream"] = {}
-        self._next_stream_id = 0
         self._next_task_id = 0
         # In-flight ledger: every dispatched-but-unabsorbed task, plus
         # the per-worker view of it.  Mutated by the master thread
@@ -486,8 +239,6 @@ class ProcessBackend(Backend):
         self._worker_tasks: dict[int, set[int]] = {}  # guarded by _ledger_lock
         self._respawns_used = 0
         self._degraded = False
-        self._shingle_results: dict[int, tuple] = {}
-        self._shingle_busy = 0.0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -538,7 +289,7 @@ class ProcessBackend(Backend):
             task_queue = self._task_queues[slot]
             if proc is not None and proc.is_alive() and task_queue is not None:
                 try:
-                    task_queue.put(_STOP)
+                    task_queue.put(None)
                 except (OSError, ValueError):
                     obs.event("runtime.close_put_failed", slot=slot)
         deadline = monotonic_now() + 5.0
@@ -569,7 +320,6 @@ class ProcessBackend(Backend):
         if self._store is not None:
             self._store.close()
             self._store = None
-        self._streams = {}
         with self._ledger_lock:
             self._ledger = {}
             self._worker_tasks = {}
@@ -600,11 +350,18 @@ class ProcessBackend(Backend):
         return [w for w, p in enumerate(self._procs)
                 if p is not None and p.is_alive()]
 
-    def _submit(self, body: tuple) -> None:
-        """Enter a new task into the ledger and send it to a worker."""
+    def _task_size(self, kernel: str) -> float:
+        if kernel == "containment":
+            return max(self.batch_size, CONTAIN_BATCH_SIZE)
+        return self.batch_size
+
+    def _submit(self, body: tuple,
+                sink: Callable[[Any, float], None] | None = None) -> None:
+        """Enter a new task into the ledger and send it to a worker,
+        then wait while more than the backpressure bound is in flight."""
         self._require_open()
         record = _TaskRecord(self._next_task_id, body,
-                             self._phase_stats().name)
+                             self._phase_stats().name, sink)
         self._next_task_id += 1
         if (self._injector is not None
                 and self._injector.poison_new_task(record.phase)):
@@ -615,8 +372,15 @@ class ProcessBackend(Backend):
         with self._ledger_lock:
             self._ledger[record.task_id] = record
         obs.count("runtime.batches")
+        if body[0] in ("align", "contain"):
+            obs.count("runtime.batch_pairs", len(body[-1]))
         obs.set_max("runtime.max_outstanding", self._outstanding)
         self._send(record)
+        while self._outstanding > self._max_outstanding:
+            self._pump(block=True)
+
+    def _settle(self, stream: AlignmentStream) -> None:
+        self._pump(block=False)
 
     def _send(self, record: _TaskRecord) -> None:
         """Dispatch a ledger entry to the least-loaded live worker, or
@@ -639,16 +403,8 @@ class ProcessBackend(Backend):
                 obs.count("faults.injected")
                 obs.event("fault.injected", kind=fault[0], worker=slot,
                           task=record.task_id, phase=record.phase)
-        body = record.body
-        self._task_queues[slot].put((body[0], record.task_id, fault,
-                                     *body[1:]))
+        self._task_queues[slot].put((record.task_id, fault, record.body))
         obs.gauge("runtime.outstanding", self._outstanding)
-
-    def _throttle(self, stream) -> None:
-        """Bound outstanding batches; absorb results while waiting."""
-        self._pump(block=False)
-        while self._outstanding > self._max_outstanding:
-            self._pump(block=True)
 
     # -- failure recovery --------------------------------------------------
 
@@ -735,37 +491,15 @@ class ProcessBackend(Backend):
 
     def _run_in_master(self, record: _TaskRecord) -> None:
         """Execute a ledger entry on the master (quarantine or degraded
-        mode) and route it through the normal absorption path.  Fault
+        mode) and absorb it through the same exactly-once gate.  Fault
         markers are never applied here — injection only targets workers,
         so a poison task's *computation* is clean."""
-        body = record.body
         start = monotonic_now()
-        if body[0] == "align":
-            _, stream_id, kind, pairs = body
-            stream = self._streams[stream_id]
-            with obs.span(f"align.{kind}", cat="task", pairs=len(pairs),
-                          in_master=True):
-                summaries = stream.compute_batch(pairs)
-            self._route(("align", record.task_id, stream_id, summaries,
-                         monotonic_now() - start, None))
-        elif body[0] == "contain":
-            _, stream_id, _similarity, _coverage, pairs = body
-            stream = self._streams[stream_id]
-            with obs.span("align.contain", cat="task", pairs=len(pairs),
-                          in_master=True):
-                items = stream.compute_batch(pairs)
-            self._route(("contain", record.task_id, stream_id, items,
-                         monotonic_now() - start, None))
-        elif body[0] == "shingle":
-            from repro.pace.densesub import shingle_component
-
-            _, job_id, graph, reduction, params, min_size, tau = body
-            payload = shingle_component(graph, reduction, params,
-                                        min_size, tau)
-            self._route(("shingle", record.task_id, job_id, payload,
-                         monotonic_now() - start, None))
-        else:  # pragma: no cover - protocol bug
-            raise BackendError(f"unknown ledger task kind {body[0]!r}")
+        result = _traced_task(record.body, self._scheme, self._store.get,
+                              in_master=True)
+        if (self._retire(record.task_id) is not None
+                and record.sink is not None):
+            record.sink(result, monotonic_now() - start)
 
     # -- result routing ----------------------------------------------------
 
@@ -804,34 +538,36 @@ class ProcessBackend(Backend):
             raise WorkerCrashError(
                 f"worker {worker_index} raised during task execution:\n{text}"
             )
-        task_id = msg[1]
+        _, task_id, result, busy, worker_obs = msg
+        record = self._retire(task_id)
+        if record is None:
+            return
+        self._absorb_worker_obs(worker_obs, busy)
+        if record.body[0] != "shingle":
+            result = [(stats, None if wire is None else Alignment(*wire))
+                      for stats, wire in result]
+        if record.sink is not None:
+            record.sink(result, busy)
+
+    def _retire(self, task_id: int) -> _TaskRecord | None:
+        """Take a finished task out of the ledger; None if it is gone.
+
+        Exactly-once gate: a result for a task the ledger no longer
+        holds (already recovered elsewhere, or a late message from a
+        worker presumed dead) is dropped whole — including its counter
+        payload, which is what keeps worker-recorded scientific counters
+        identical under requeue races.
+        """
         with self._ledger_lock:
             record = self._ledger.pop(task_id, None)
+            if record is not None and record.worker >= 0:
+                self._worker_tasks[record.worker].discard(task_id)
         if record is None:
-            # Exactly-once gate: a result for a task the ledger no
-            # longer holds (already recovered elsewhere, or a late
-            # message from a worker presumed dead) is dropped whole —
-            # including its counter payload, which is what keeps
-            # worker-recorded scientific counters identical under
-            # requeue races.
             obs.count("runtime.duplicate_results")
             obs.event("task.duplicate_result", task=task_id)
-            return
-        if record.worker >= 0:
-            with self._ledger_lock:
-                self._worker_tasks[record.worker].discard(task_id)
+            return None
         obs.gauge("runtime.outstanding", self._outstanding)
-        if msg[0] in ("align", "contain"):
-            _, _, stream_id, summaries, busy, worker_obs = msg
-            self._absorb_worker_obs(worker_obs, busy)
-            self._streams[stream_id].absorb(summaries, busy)
-        elif msg[0] == "shingle":
-            _, _, job_id, payload, busy, worker_obs = msg
-            self._absorb_worker_obs(worker_obs, busy)
-            self._shingle_results[job_id] = payload
-            self._shingle_busy += busy
-        else:  # pragma: no cover - protocol bug
-            raise BackendError(f"unknown result message {msg[0]!r}")
+        return record
 
     @staticmethod
     def _absorb_worker_obs(payload, busy: float) -> None:
@@ -883,29 +619,6 @@ class ProcessBackend(Backend):
 
     # -- work primitives ---------------------------------------------------
 
-    def alignment_stream(self, kind: str, cache: AlignmentCache) -> _ProcessStream:
-        self._require_open()
-        stream = _ProcessStream(
-            self, self._next_stream_id, kind, cache, self._phase_stats()
-        )
-        self._streams[stream.stream_id] = stream
-        self._next_stream_id += 1
-        obs.gauge(f"stream.{stream.stream_id}.kind", kind)
-        return stream
-
-    def containment_stream(
-        self, cache: AlignmentCache, *, similarity: float, coverage: float
-    ) -> _ProcessContainmentStream:
-        self._require_open()
-        stream = _ProcessContainmentStream(
-            self, self._next_stream_id, cache, self._phase_stats(),
-            similarity, coverage,
-        )
-        self._streams[stream.stream_id] = stream
-        self._next_stream_id += 1
-        obs.gauge(f"stream.{stream.stream_id}.kind", "containment")
-        return stream
-
     def map_components(
         self,
         graphs: Sequence,
@@ -916,15 +629,16 @@ class ProcessBackend(Backend):
     ) -> list[tuple]:
         self._require_open()
         phase = self._phase_stats()
-        self._shingle_results = {}
-        self._shingle_busy = 0.0
+        done: dict[int, tuple] = {}
         obs.count("runtime.shingle_jobs", len(graphs))
-        for job_id, graph in enumerate(graphs):
+        for job, graph in enumerate(graphs):
+            def sink(result, busy: float, job: int = job) -> None:
+                done[job] = result
+                phase.busy_seconds += busy
+
             self._submit(
-                ("shingle", job_id, graph, reduction, params, min_size, tau)
-            )
+                ("shingle", graph, reduction, params, min_size, tau), sink)
             phase.tasks += 1
-        while len(self._shingle_results) < len(graphs):
+        while len(done) < len(graphs):
             self._pump(block=True)
-        phase.busy_seconds += self._shingle_busy
-        return [self._shingle_results[job_id] for job_id in range(len(graphs))]
+        return [done[job] for job in range(len(graphs))]

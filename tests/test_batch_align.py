@@ -4,9 +4,8 @@ equivalence gate behind :mod:`repro.align.batch`.
 Every fast path in the batched engine carries a proof obligation (exact
 batch fill, sound Myers rejection, certified distance-0 and banded
 shortcuts); this suite pins each of them to the scalar reference with
-Hypothesis property tests, plus the satellite regressions: cache
-batch-path counter semantics, per-real-pair cell accounting, and the
-banded-vs-global contract.
+Hypothesis property tests, plus regression tests for per-real-pair cell
+accounting and the banded-vs-global contract.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from repro.align.pairwise import (
     semiglobal_align,
 )
 from repro.align.predicates import containment_test
-from repro.pace.cache import AlignmentCache
 
 SCALAR = {
     "global": global_align,
@@ -433,59 +431,6 @@ class TestBandedVersusGlobal:
         b = np.zeros(12, dtype=np.uint8)
         with pytest.raises(ValueError, match="narrower"):
             banded_global_align(a, b, band=3, scheme=identity_scheme())
-
-
-class TestCacheBatchSemantics:
-    """Satellite: batch-path counters == per-pair sequence of lookups."""
-
-    @staticmethod
-    def _fresh_cache(encoded):
-        return AlignmentCache(lambda k: encoded[k], blosum62_scheme())
-
-    def test_mixed_batch_counters_match_per_pair_loop(self):
-        rng = np.random.default_rng(13)
-        encoded = [rng.integers(0, 20, int(rng.integers(20, 80))).astype(np.uint8)
-                   for _ in range(10)]
-        primed = [(0, 1), (2, 3), (4, 5)]
-        # A batch mixing cached pairs, new pairs, a within-batch
-        # duplicate, and a reversed-orientation repeat.
-        batch = [(0, 1), (6, 7), (2, 3), (8, 9), (6, 7), (3, 2), (1, 8)]
-
-        for kind in ("local", "semiglobal"):
-            batched_cache = self._fresh_cache(encoded)
-            looped_cache = self._fresh_cache(encoded)
-            for c in (batched_cache, looped_cache):
-                c.set_phase("prime")
-                for i, j in primed:
-                    getattr(c, kind)(i, j)
-                c.set_phase("probe")
-
-            batched = batched_cache.batch(kind, batch)
-            looped = [getattr(looped_cache, kind)(i, j) for i, j in batch]
-
-            assert batched == looped
-            assert batched_cache.stats() == looped_cache.stats()
-            assert (batched_cache.stats_by_phase()
-                    == looped_cache.stats_by_phase())
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=7),
-                st.integers(min_value=0, max_value=7),
-            ).filter(lambda p: p[0] != p[1]),
-            max_size=20,
-        )
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_random_batches_counter_identical(self, pairs):
-        rng = np.random.default_rng(7)
-        encoded = [rng.integers(0, 20, 30).astype(np.uint8) for _ in range(8)]
-        batched_cache = self._fresh_cache(encoded)
-        looped_cache = self._fresh_cache(encoded)
-        assert (batched_cache.batch("semiglobal", pairs)
-                == [looped_cache.semiglobal(i, j) for i, j in pairs])
-        assert batched_cache.stats() == looped_cache.stats()
 
 
 class TestCellsAccounting:

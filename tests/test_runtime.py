@@ -265,6 +265,85 @@ class TestCrashSafety:
         assert "LOST" in screen
 
 
+class _DegradedProcessBackend(ProcessBackend):
+    """Computes every task in-master, as after losing its last worker
+    with the respawn budget spent."""
+
+    def open(self, sequences, scheme) -> None:
+        super().open(sequences, scheme)
+        self._degraded = True
+
+
+class TestStreamConformance:
+    """Every backend answers the same stream calls with the same results,
+    the same cache counters and the same per-phase work accounting."""
+
+    LOCAL = [(0, 1), (3, 2), (4, 5), (1, 6), (7, 2)]
+    REPEAT = [(2, 3), (8, 9), (1, 0), (9, 10), (5, 4)]
+    # Pairs 0-21 and 4-22 are redundant copies (answered without a DP).
+    CONTAIN = [(21, 0), (4, 22)] + [
+        (i, j) for i in range(6) for j in range(i + 1, 9)]
+
+    def _run(self, backend, sequences, scheme):
+        encoded = [r.encoded for r in sequences]
+        cache = AlignmentCache(lambda k: encoded[k], scheme)
+        results = {}
+        with backend.session(sequences, scheme):
+            cache.set_phase("submit")
+            with backend.phase("submit"):
+                stream = backend.alignment_stream("local", cache)
+                got = []
+                for i, j in self.LOCAL:
+                    stream.submit(i, j)
+                    got += stream.ready()
+                results["submit"] = set(got + list(stream.drain()))
+            cache.set_phase("submit_many")
+            with backend.phase("submit_many"):
+                stream = backend.alignment_stream("local", cache)
+                stream.submit_many(self.REPEAT)
+                results["submit_many"] = set(stream.drain())
+            cache.set_phase("containment")
+            with backend.phase("containment"):
+                stream = backend.containment_stream(
+                    cache, similarity=0.5, coverage=0.5)
+                stream.submit_many(self.CONTAIN[:10])
+                got = list(stream.drain())
+                stream.submit_many(self.CONTAIN)
+                results["containment"] = set(got + list(stream.drain()))
+        work = {name: (p.tasks, p.cache_hits)
+                for name, p in backend.stats.phases.items()}
+        return results, cache.stats(), work
+
+    @pytest.mark.parametrize("make", [
+        SerialBackend,
+        lambda: ProcessBackend(1, batch_size=1),
+        lambda: ProcessBackend(2, batch_size=8),
+        lambda: _DegradedProcessBackend(1),
+    ], ids=["serial", "process-1x1", "process-2x8", "process-degraded"])
+    def test_backends_agree(self, workload, make):
+        sequences, config = workload
+        reference = self._run(SerialBackend(), sequences, config.scheme)
+        results, stats, work = self._run(make(), sequences, config.scheme)
+        assert results == reference[0]
+        assert stats == reference[1]
+        assert work == reference[2]
+        # Tasks count pairs shipped to the backend; cache hits never ship.
+        assert work["submit"] == (5, 0)
+        assert work["submit_many"] == (2, 3)
+        assert stats["local_misses"] == 7
+        assert stats["semiglobal_misses"] > 0
+        assert stats["semiglobal_hits"] > 0
+
+
+class TestStartMethods:
+    def test_spawn_workers_give_serial_families(self, workload, reference):
+        sequences, config = workload
+        backend = ProcessBackend(workers=1, start_method="spawn")
+        result = ProteinFamilyPipeline(config).run(sequences, backend=backend)
+        assert result.families == reference.families
+        assert result.table1() == reference.table1()
+
+
 class TestSharedSequenceStore:
     def test_round_trip(self):
         rng = np.random.default_rng(9)
